@@ -148,17 +148,11 @@ def _dispatch(args) -> dict:
             "verdict": reports.verdict_dict(verdict),
             "utilities": reports.utility_dict(utility(nets[0], game)),
         }
-    if command == "least":
-        net = lattice.least_pans(game, m, e0)
+    if command in ("least", "greatest"):
+        op = lattice.least_pans if command == "least" else lattice.greatest_pans
+        net = op(game, m, e0)
         return {
-            "command": "least",
-            "network": reports.network_dict(net),
-            "utilities": reports.utility_dict(utility(net, game)),
-        }
-    if command == "greatest":
-        net = lattice.greatest_pans(game, m, e0)
-        return {
-            "command": "greatest",
+            "command": command,
             "network": reports.network_dict(net),
             "utilities": reports.utility_dict(utility(net, game)),
         }

@@ -4,7 +4,7 @@
 superset by repeatedly interconnecting non-player neighbours, applying
 inclusion-minimal profitable set-additions, and adding blocking player
 pairs.  ``max_included_pans`` shrinks a graph to the largest stable subset
-by profitable deletions plus a cleanup of uncovered non-player edges.
+by profitable deletions.
 ``min_including_k_pans`` generalises the growth process to coalition
 additions of size up to k.
 
@@ -18,21 +18,25 @@ canonical under them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .model import Edge, GameSpec, Network, edge, sole_cover_count
+from .model import Edge, GameSpec, Network, edge, sole_covered_pairs
 from .moves import (
     blocking_pair,
+    blocks,
+    bundles_can_pay,
     closure,
     has_improving_pure_deletion,
+    improves_all,
     improving_pure_deletion,
     player_incident_edges,
+    profitable_drops,
+    pure_deletion,
     utility_pair,
 )
-from .stability import improving_set_addition
+from .stability import improving_set_addition, missing_interconnection
 
 
 @dataclass
@@ -40,7 +44,6 @@ class OpCounter:
     """Counts elementary steps so runtime growth can be budget-tested."""
 
     ops: int = 0
-    notes: dict = field(default_factory=dict)
 
     def tick(self, amount: int = 1) -> None:
         self.ops += amount
@@ -59,22 +62,15 @@ def _player_order(net: Network, order) -> list[int]:
 
 
 def _interconnect_pass(net: Network, players, counter) -> Network:
+    # new pairs join non-players only, so one pass reaches the fixpoint
     new_edges = set(net.edges)
-    changed = True
-    while changed:
-        changed = False
-        for i in players:
-            mine = sorted(
-                v for v in net.nonplayers if edge(i, v) in new_edges
-            )
-            for j, l in itertools.combinations(mine, 2):
-                _tick(counter)
-                if edge(j, l) not in new_edges:
-                    new_edges.add(edge(j, l))
-                    changed = True
+    for i in players:
+        mine = net.nonplayer_neighbours(i)
+        _tick(counter, len(mine) * (len(mine) - 1) // 2)
+        new_edges.update(itertools.combinations(mine, 2))
     if len(new_edges) == len(net.edges):
         return net
-    return net.with_edges(new_edges)
+    return net.with_edges_unchecked(new_edges)
 
 
 def require_no_profitable_deletion(net: Network, game: GameSpec) -> None:
@@ -88,12 +84,11 @@ def require_no_profitable_deletion(net: Network, game: GameSpec) -> None:
 
 def require_no_profitable_addition(net: Network, game: GameSpec) -> None:
     for i in net.players:
-        mine = sorted(v for v in net.neighbours(i) if not net.is_player(v))
-        for j, l in itertools.combinations(mine, 2):
-            if edge(j, l) not in net.edges:
-                raise PreconditionError(
-                    f"player {i} profits from interconnecting {j} and {l}"
-                )
+        missing = missing_interconnection(net, i)
+        if missing is not None:
+            raise PreconditionError(
+                f"player {i} profits from interconnecting {missing[0]} and {missing[1]}"
+            )
         if improving_set_addition(net, game, i) is not None:
             raise PreconditionError(f"player {i} has a profitable set-addition")
     pair = blocking_pair(net, game)
@@ -123,17 +118,13 @@ def min_including_pans(
                 _tick(counter, 1 << current.num_nonplayers)
                 if found is None:
                     break
-                current, changed = current.with_edges(found[1]), True
+                current, changed = current.with_edges_unchecked(found[1]), True
         for i, j in itertools.combinations(sorted(players), 2):
             _tick(counter)
             e = edge(i, j)
-            if e in current.edges:
-                continue
-            gi = Fraction(current.degree(j) + 1) - game.alpha(i)
-            gj = Fraction(current.degree(i) + 1) - game.alpha(j)
-            if gi >= 0 and gj >= 0 and (gi > 0 or gj > 0):
-                current, changed = current.with_edges(current.edges | {e}), True
-    return current
+            if e not in current.edges and blocks(current, game, i, j):
+                current, changed = current.with_edges_unchecked(current.edges | {e}), True
+    return net if current is net else net.with_edges(current.edges)
 
 
 def max_included_pans(
@@ -141,6 +132,7 @@ def max_included_pans(
     game: GameSpec,
     counter: Optional[OpCounter] = None,
     _order=None,
+    check_entry: bool = True,
 ) -> Network:
     """Largest pairwise Nash stable graph contained in ``net``.
 
@@ -149,60 +141,50 @@ def max_included_pans(
     player-to-non-player edge additionally forfeits every pair only i was
     holding together.  A final guard removes profitable deletion *bundles*,
     which can exist with no profitable single drop when a player alone
-    covers pairs among her neighbours (the collateral is shared).
+    covers pairs among her neighbours (the collateral is shared).  It skips
+    every other player, whose drop marginals add up (complementarity), and
+    solves one small minimum cut, not 2^deg(i) subsets, for the rest.
+    Gains are integer scores of the mover alone; only the result is validated.
+
+    ``check_entry=False`` skips the entry condition, for a start state that
+    is the intersection of two stable graphs (see ``lattice.meet_pans``).
     """
-    require_no_profitable_addition(net, game)
+    if check_entry:
+        require_no_profitable_addition(net, game)
     players = _player_order(net, _order)
     current = net
-    changed = True
-    while changed:
-        changed = False
-        # profitable single drops, players then non-players
+    while True:
+        # profitable single drops, players then non-players, to a fixpoint
         deleting = True
         while deleting:
             deleting = False
-            for i in players:
-                for j in sorted(current.neighbours(i)):
-                    if not current.is_player(j):
-                        continue
-                    _tick(counter)
-                    if Fraction(current.degree(j)) < game.alpha(i):
-                        adjacency = player_incident_edges(current) - {edge(i, j)}
-                        current = current.with_edges(
-                            closure(current, [i], adjacency, allow_new=False)
+            for to_players in (True, False):
+                for i in players:
+                    _tick(counter, current.degree(i))
+                    drops = profitable_drops(current, game, i, to_players)
+                    if drops:
+                        current = current.with_edges_unchecked(
+                            pure_deletion(current, i, drops)
                         )
-                        deleting = changed = True
-            for i in players:
-                for j in sorted(current.neighbours(i)):
-                    if current.is_player(j):
-                        continue
-                    _tick(counter)
-                    if (
-                        Fraction(current.degree(j) + sole_cover_count(current, j, i))
-                        < game.alpha(i)
-                    ):
-                        adjacency = player_incident_edges(current) - {edge(i, j)}
-                        current = current.with_edges(
-                            closure(current, [i], adjacency, allow_new=False)
-                        )
-                        deleting = changed = True
-        # cleanup: added non-player edges with no covering player
-        drop = {
-            e
-            for e in current.added_nonplayer_edges()
-            if not current.common_player_neighbours(*e)
-        }
-        if drop:
-            current, changed = current.with_edges(current.edges - drop), True
-            continue
+                        deleting = True
         # bundle guard: shared collateral can hide behind single-drop tests
         for i in players:
+            if not bundles_can_pay(current, i):
+                continue
+            _tick(counter, current.degree(i) + len(sole_covered_pairs(current, i)))
             new_edges = improving_pure_deletion(current, game, i)
-            _tick(counter, 1 << current.degree(i))
             if new_edges is not None:
-                current, changed = current.with_edges(new_edges), True
+                current = current.with_edges_unchecked(new_edges)
                 break
-    return current
+        else:
+            return net if current is net else net.with_edges(current.edges)
+
+
+def _subsets(pool, smallest: int = 0) -> list[tuple]:
+    """Subsets of ``pool`` as tuples, by size and then lexicographic."""
+    return [
+        c for r in range(smallest, len(pool) + 1) for c in itertools.combinations(pool, r)
+    ]
 
 
 def _coalition_addition(
@@ -222,31 +204,15 @@ def _coalition_addition(
         for coalition in itertools.combinations(net.players, size):
             cset = set(coalition)
             pair_pool = [
-                edge(i, j)
-                for i, j in itertools.combinations(sorted(coalition), 2)
-                if edge(i, j) not in net.edges
+                e for e in itertools.combinations(coalition, 2) if e not in net.edges
             ]
-            target_pool = sorted(net.nonplayers)
-            candidates = []
-            for u_size in range(0, size + 1):
-                for u in itertools.combinations(sorted(coalition), u_size):
-                    t_sets = (
-                        [()]
-                        if not u
-                        else [
-                            t
-                            for r in range(1, len(target_pool) + 1)
-                            for t in itertools.combinations(target_pool, r)
-                        ]
-                    )
-                    for t in t_sets:
-                        for p_r in range(0, len(pair_pool) + 1):
-                            for pairs in itertools.combinations(pair_pool, p_r):
-                                w = {a for e in pairs for a in e}
-                                if set(u) | w != cset:
-                                    continue
-                                candidates.append((len(t) + len(pairs), u, t, pairs))
-            candidates.sort(key=lambda c: (c[0], c[1], c[2], c[3]))
+            candidates = sorted(
+                (len(t) + len(pairs), u, t, pairs)
+                for u in _subsets(coalition)
+                for t in (_subsets(sorted(net.nonplayers), 1) if u else [()])
+                for pairs in _subsets(pair_pool)
+                if set(u).union(*pairs) == cset
+            )
             for _, u, t, pairs in candidates:
                 _tick(counter)
                 extra = {edge(i, j) for i in u for j in t} | set(pairs)
@@ -254,17 +220,7 @@ def _coalition_addition(
                 new_edges = closure(net, sorted(coalition), new_adj, allow_new=True)
                 if new_edges == net.edges:
                     continue
-                after = utility_pair(net, game, new_edges)
-                strict = False
-                ok = True
-                for i in coalition:
-                    d = after.of(i) - base.of(i)
-                    if d < 0:
-                        ok = False
-                        break
-                    if d > 0:
-                        strict = True
-                if ok and strict:
+                if improves_all(base, utility_pair(net, game, new_edges), coalition):
                     return new_edges
     return None
 
@@ -292,5 +248,5 @@ def min_including_k_pans(
             found = _coalition_addition(current, game, k, counter)
             if found is None:
                 break
-            current, changed = current.with_edges(found), True
-    return current
+            current, changed = current.with_edges_unchecked(found), True
+    return net if current is net else net.with_edges(current.edges)

@@ -65,6 +65,20 @@ def _int(token: str, lineno: int) -> int:
         raise GameFileError(f"expected an integer, got {token!r}", lineno) from None
 
 
+def _edge_line(tokens: list[str], lineno: int) -> Edge:
+    if len(tokens) != 2:
+        raise GameFileError("edge lines are 'a b'", lineno)
+    a, b = (_int(t, lineno) for t in tokens)
+    return a, b
+
+
+def _sustainer_line(tokens: list[str], lineno: int) -> tuple[Edge, int]:
+    if len(tokens) != 3:
+        raise GameFileError("sustainer lines are 'j l k'", lineno)
+    j, l, k = (_int(t, lineno) for t in tokens)
+    return ((j, l) if j < l else (l, j)), k
+
+
 def parse_game_file(text: str) -> tuple[Network, GameSpec]:
     players: list[tuple[int, Fraction]] = []
     nonplayers: list[int] = []
@@ -87,19 +101,10 @@ def parse_game_file(text: str) -> tuple[Network, GameSpec]:
         elif section == "nonplayers":
             nonplayers.extend(_int(t, lineno) for t in tokens)
         elif section in ("original_edges", "edges"):
-            if len(tokens) != 2:
-                raise GameFileError("edge lines are 'a b'", lineno)
-            a, b = (_int(t, lineno) for t in tokens)
-            if section == "edges":
-                saw_edges = True
-                edges.append((a, b))
-            else:
-                original.append((a, b))
+            saw_edges = saw_edges or section == "edges"
+            (edges if section == "edges" else original).append(_edge_line(tokens, lineno))
         elif section == "sustainers":
-            if len(tokens) != 3:
-                raise GameFileError("sustainer lines are 'j l k'", lineno)
-            j, l, k = (_int(t, lineno) for t in tokens)
-            key = (j, l) if j < l else (l, j)
+            key, k = _sustainer_line(tokens, lineno)
             sustainers[key] = k
         elif section == "nodes":
             raise GameFileError("[nodes] belongs to standalone graph files", lineno)
@@ -126,15 +131,10 @@ def parse_graph_file(text: str, base: Network) -> Network:
     sustainers: dict[Edge, int] = {}
     for lineno, section, tokens in _tokenise(text):
         if section == "edges":
-            if len(tokens) != 2:
-                raise GameFileError("edge lines are 'a b'", lineno)
-            a, b = (_int(t, lineno) for t in tokens)
-            edges.append((a, b))
+            edges.append(_edge_line(tokens, lineno))
         elif section == "sustainers":
-            if len(tokens) != 3:
-                raise GameFileError("sustainer lines are 'j l k'", lineno)
-            j, l, k = (_int(t, lineno) for t in tokens)
-            sustainers[(j, l) if j < l else (l, j)] = k
+            key, k = _sustainer_line(tokens, lineno)
+            sustainers[key] = k
         else:
             raise GameFileError(f"graph files only carry [edges]/[sustainers]", lineno)
     return build_network(
@@ -156,10 +156,7 @@ def parse_plain_graph(text: str) -> tuple[int, list[Edge]]:
                 raise GameFileError("[nodes] holds a single count", lineno)
             num_nodes = _int(tokens[0], lineno)
         elif section == "edges":
-            if len(tokens) != 2:
-                raise GameFileError("edge lines are 'a b'", lineno)
-            a, b = (_int(t, lineno) for t in tokens)
-            edges.append((a, b))
+            edges.append(_edge_line(tokens, lineno))
         else:
             raise GameFileError("plain graphs only carry [nodes] and [edges]", lineno)
     if num_nodes is None:

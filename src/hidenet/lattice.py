@@ -70,8 +70,34 @@ def meet_pans(game: GameSpec, net_s: Network, net_t: Network) -> Network:
     """Largest stable graph inside both inputs (edge intersection, shrunk)."""
     _require_pans(net_s, game, "left meet operand")
     _require_pans(net_t, game, "right meet operand")
-    merged = net_s.with_edges(net_s.edges & net_t.edges)
-    return max_included_pans(merged, game)
+    # a pair added in both operands can lose every covering player here
+    common = net_s.with_edges_unchecked(net_s.edges & net_t.edges)
+    added = common.added_nonplayer_edges()
+    uncovered = {e for e in added if not common.common_player_neighbours(*e)}
+    # both operands are stable, so the shrink needs no entry check
+    return max_included_pans(net_s.with_edges(common.edges - uncovered), game, check_entry=False)
+
+
+def bound_failures(
+    game: GameSpec, num_nonplayers: int, original_edges: Iterable, sets: list[frozenset[Edge]]
+) -> list[str]:
+    """How the stable edge sets ``sets`` of an instance fail to form a
+    lattice whose joins and meets the fixpoints compute (empty if they do)."""
+    least, greatest = min(sets, key=len), max(sets, key=len)
+    if any(not least <= s or not s <= greatest for s in sets):
+        return ["stable set has no least or greatest element"]
+    e0 = edge_set(original_edges)
+    failures = []
+    for ea, eb in itertools.combinations(sets, 2):
+        na, nb = (build_network(game.num_players, num_nonplayers, x, e0) for x in (ea, eb))
+        ups = [s for s in sets if ea | eb <= s]
+        downs = [s for s in sets if s <= ea & eb]
+        lub, glb = min(ups, key=len), max(downs, key=len)
+        if any(not lub <= s for s in ups) or join_pans(game, na, nb).edges != lub:
+            failures.append(f"join is not the LUB of {sorted(ea)} and {sorted(eb)}")
+        if any(not s <= glb for s in downs) or meet_pans(game, na, nb).edges != glb:
+            failures.append(f"meet is not the GLB of {sorted(ea)} and {sorted(eb)}")
+    return failures
 
 
 @dataclass
@@ -81,9 +107,6 @@ class LatticeSummary:
     greatest: Network
     elements: list[Network]
     hasse_edges: list[tuple[int, int]] = field(default_factory=list)
-
-    def element_edge_sets(self) -> list[frozenset[Edge]]:
-        return [n.edges for n in self.elements]
 
 
 def _hasse(edge_sets: list[frozenset[Edge]]) -> list[tuple[int, int]]:
@@ -124,22 +147,9 @@ def enumerate_lattice(
                     "the deviation search disagrees"
                 )
     sets = [n.edges for n in elements]
-    least = min(sets, key=len)
-    greatest = max(sets, key=len)
-    if any(not least <= s for s in sets) or any(not s <= greatest for s in sets):
-        raise AssertionError("enumerated stable set has no least/greatest element")
-    # join/meet closure against enumerated bounds
-    for ea, eb in itertools.combinations(sets, 2):
-        na = build_network(game.num_players, num_nonplayers, ea, edge_set(original_edges))
-        nb = build_network(game.num_players, num_nonplayers, eb, edge_set(original_edges))
-        ups = [s for s in sets if ea | eb <= s]
-        lub = min(ups, key=len)
-        downs = [s for s in sets if s <= ea & eb]
-        glb = max(downs, key=len)
-        if join_pans(game, na, nb).edges != lub or any(not lub <= s for s in ups):
-            raise AssertionError(f"join is not the LUB for {sorted(ea)} | {sorted(eb)}")
-        if meet_pans(game, na, nb).edges != glb or any(not s <= glb for s in downs):
-            raise AssertionError(f"meet is not the GLB for {sorted(ea)} & {sorted(eb)}")
+    failures = bound_failures(game, num_nonplayers, original_edges, sets)
+    if failures:
+        raise AssertionError(failures[0])
     if k < game.num_players:
         stronger = {frozenset(n.edges) for n in fgs.pans_networks(k + 1)}
         if not stronger <= {frozenset(s) for s in sets}:
@@ -147,6 +157,4 @@ def enumerate_lattice(
     order = sorted(range(len(elements)), key=lambda t: (len(sets[t]), sorted(sets[t])))
     elements = [elements[t] for t in order]
     sets = [sets[t] for t in order]
-    least_net = next(n for n in elements if n.edges == least)
-    greatest_net = next(n for n in elements if n.edges == greatest)
-    return LatticeSummary(k, least_net, greatest_net, elements, _hasse(sets))
+    return LatticeSummary(k, elements[0], elements[-1], elements, _hasse(sets))

@@ -14,6 +14,7 @@ floating point is never used.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -22,6 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import ValidationError
 
 Edge = tuple[int, int]
+_NONE_SOLE: tuple[dict, Counter] = ({}, Counter())  # shared by states with no sole cover
 
 
 def edge(a: int, b: int) -> Edge:
@@ -68,6 +70,11 @@ class GameSpec:
     def alpha(self, i: int) -> Fraction:
         return self.alphas[i - 1]
 
+    def ratio(self, i: int) -> tuple[int, int]:
+        """alpha_i as (p_i, q_i), for scores compared on integers."""
+        a = self.alphas[i - 1]
+        return a.numerator, a.denominator
+
 
 @dataclass(frozen=True)
 class Network:
@@ -107,21 +114,34 @@ class Network:
         return 1 <= v <= self.num_players
 
     @cached_property
-    def _adjacency(self) -> dict[int, frozenset[int]]:
+    def _index(self) -> tuple[dict[int, frozenset[int]], dict[int, list[Edge]], Counter]:
+        """Adjacency sets, the added non-player pairs keyed by their only
+        covering player, and counts of those by (non-player, player)."""
         adj: dict[int, set[int]] = {v: set() for v in self.nodes}
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return {v: frozenset(s) for v, s in adj.items()}
+        nbrs = {v: frozenset(s) for v, s in adj.items()}
+        sole: dict[int, list[Edge]] = {}
+        for j, l in sorted(self.added_nonplayer_edges()):
+            cover = [i for i in nbrs[j] & nbrs[l] if i <= self.num_players]
+            if len(cover) == 1:
+                sole.setdefault(cover[0], []).append((j, l))
+        if not sole:
+            return (nbrs, *_NONE_SOLE)
+        return nbrs, sole, Counter((j, i) for i, es in sole.items() for e in es for j in e)
 
     def neighbours(self, v: int) -> frozenset[int]:
         try:
-            return self._adjacency[v]
+            return self._index[0][v]
         except KeyError:
             raise ValidationError(f"unknown node {v}") from None
 
     def degree(self, v: int) -> int:
         return len(self.neighbours(v))
+
+    def nonplayer_neighbours(self, v: int) -> list[int]:
+        return sorted(u for u in self.neighbours(v) if not self.is_player(u))
 
     def player_degree(self, v: int) -> int:
         return sum(1 for u in self.neighbours(v) if self.is_player(u))
@@ -136,9 +156,14 @@ class Network:
         )
 
     def common_player_neighbours(self, j: int, l: int) -> frozenset[int]:
-        return frozenset(
-            i for i in self.players if j in self._adjacency[i] and l in self._adjacency[i]
-        )
+        common = self._index[0][j] & self._index[0][l]
+        return frozenset(i for i in common if i <= self.num_players)
+
+    def with_edges_unchecked(self, edges: Iterable[Edge]) -> "Network":
+        """An unvalidated copy with another edge set and no sustainers, for
+        a fixpoint's intermediate states (each added pair stays covered)."""
+        n, m = self.num_players, self.num_nonplayers
+        return Network(n, m, self.original_edges, frozenset(edges))
 
     def with_edges(
         self, edges: Iterable[Sequence[int]], sustainers: Optional[Mapping[Edge, int]] = None
@@ -323,13 +348,12 @@ def sole_cover_count(net: Network, j: int, i: int) -> int:
     An added non-player edge needs some player adjacent to both endpoints;
     it outlives i's withdrawal exactly when another player covers it.
     """
-    count = 0
-    for e in net.added_nonplayer_edges():
-        if j not in e:
-            continue
-        if net.common_player_neighbours(*e) == frozenset({i}):
-            count += 1
-    return count
+    return net._index[2][j, i]
+
+
+def sole_covered_pairs(net: Network, i: int) -> list[Edge]:
+    """Added non-player pairs whose only common player neighbour is i."""
+    return net._index[1].get(i, [])
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,19 @@ Interconnect actions cost nothing and raise neighbour degrees, so keeping
 or adding every feasible one weakly improves every member.  Improving-move
 search therefore only visits interconnect-maximal moves; pure-deletion
 search uses the survive-only closure.
+
+The coalition search evaluates full ``Fraction`` utility vectors.  The
+fast route (the structural checker and the fixpoints) scores the moving
+player alone, on integers: with alpha_i = p_i / q_i it compares q_i * dS_i
+with p_i * d deg(i), S_i being the sum of her neighbours' degrees.  Her
+deletion bundles are searched only if she alone covers an added
+non-player pair; otherwise her drop scores add up (complementarity).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -29,9 +37,11 @@ from .model import (
     Edge,
     GameSpec,
     Network,
+    UtilityVector,
     build_network,
     edge,
     sole_cover_count,
+    sole_covered_pairs,
     utilities_from_edges,
 )
 
@@ -71,19 +81,15 @@ def closure(
             adj[b].add(a)
     out = set(adjacency) | set(net.original_edges)
     members = set(coalition)
-    for j in net.nonplayers:
-        for l in net.nonplayers:
-            if l <= j:
-                continue
-            e = (j, l)
-            if e in net.original_edges:
-                continue
-            covers = [i for i in net.players if j in adj[i] and l in adj[i]]
-            if e in net.edges:
-                if covers:
-                    out.add(e)
-            elif allow_new and any(i in members for i in covers):
-                out.add(e)
+    for j, l in itertools.combinations(net.nonplayers, 2):
+        if (j, l) in net.original_edges:
+            continue
+        covers = [i for i in net.players if j in adj[i] and l in adj[i]]
+        if (j, l) in net.edges:
+            if covers:
+                out.add((j, l))
+        elif allow_new and any(i in members for i in covers):
+            out.add((j, l))
     return frozenset(out)
 
 
@@ -97,15 +103,8 @@ def move_count_bound(net: Network, k: int) -> int:
     total = 0
     for size in range(1, min(k, n) + 1):
         free = size * (size - 1) // 2 + size * m + size * (n - size)
-        total += _comb(n, size) * (1 << free)
+        total += math.comb(n, size) * (1 << free)
     return total
-
-
-def _comb(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def coalition_adjacency_choices(
@@ -175,19 +174,53 @@ def improving_coalition_move(
         if new_edges == net.edges or new_edges in seen:
             continue
         seen.add(new_edges)
-        after = utility_pair(net, game, new_edges)
-        strict = False
-        ok = True
-        for i in members:
-            d = after.of(i) - base.of(i)
-            if d < 0:
-                ok = False
-                break
-            if d > 0:
-                strict = True
-        if ok and strict:
+        if improves_all(base, utility_pair(net, game, new_edges), members):
             return new_edges
     return None
+
+
+def improves_all(base: UtilityVector, after: UtilityVector, members: Sequence[int]) -> bool:
+    """Whether every member weakly gains from ``base`` to ``after``, one strictly."""
+    deltas = [after.of(i) - base.of(i) for i in members]
+    return min(deltas) >= 0 and max(deltas) > 0
+
+
+# -- exact single-player marginals of the fast route --------------------------
+
+
+def drop_score(net: Network, game: GameSpec, i: int, j: int) -> int:
+    """q_i times i's gain from dropping her edge to j alone: alpha_i - deg(j),
+    less the pairs at j that only i holds together."""
+    p, q = game.ratio(i)
+    return p - q * (net.degree(j) + sole_cover_count(net, j, i))
+
+
+def profitable_drops(net: Network, game: GameSpec, i: int, players: bool) -> list[int]:
+    """i's player (or non-player) neighbours whose single drop pays, ascending.
+
+    A drop leaves i's other drop scores as they were (a forfeited pair
+    takes a degree and a sole cover at once), so all can go together.
+    """
+    return [
+        j
+        for j in sorted(net.neighbours(i))
+        if net.is_player(j) == players and drop_score(net, game, i, j) > 0
+    ]
+
+
+def pure_deletion(net: Network, i: int, dropped) -> frozenset[Edge]:
+    """Edge set after i drops her edges to ``dropped``, with the pairs only
+    she holds together there (the survive-only closure of a feasible state)."""
+    gone = {edge(i, j) for j in dropped}
+    gone.update(e for e in sole_covered_pairs(net, i) if e[0] in dropped or e[1] in dropped)
+    return net.edges - gone
+
+
+def bundles_can_pay(net: Network, i: int) -> bool:
+    """Whether a deletion bundle of i can pay when no single drop does: only
+    if she alone covers some added non-player pair.  Otherwise her drop
+    scores add up (complementarity) and the single-drop tests settle her."""
+    return bool(sole_covered_pairs(net, i))
 
 
 def improving_pure_deletion(
@@ -195,68 +228,82 @@ def improving_pure_deletion(
 ) -> Optional[frozenset[Edge]]:
     """Best strictly-improving pure-deletion move of a single player.
 
-    Enumerates subsets of i's incident edges; a dropped connection also
-    drops the non-player interconnections only i was covering (the
-    survive-only closure).  Returns the resulting edge set of the best
-    move (largest gain, then fewest deletions, then lexicographic), or
-    None when no deletion strictly improves u_i.
+    Returns the edge set of the best move (largest gain, then fewest
+    deletions, then lexicographic), or None when no deletion pays.  Drop
+    scores add up over the nodes that end no pair only i covers.  Over the
+    other nodes j, the sum of p_i - q_i deg(j) less q_i per such pair cut
+    in two is a cut function: its best sets are closed under union and
+    intersection, so the one with fewest deletions is unique, and it is
+    the smallest minimum cut of a small flow network.  Nothing is enumerated.
     """
-    base = utility_pair(net, game, net.edges)
-    incident = sorted(e for e in net.edges if i in e)
-    best: Optional[tuple] = None
-    for r in range(1, len(incident) + 1):
-        for drop in itertools.combinations(incident, r):
-            adjacency = frozenset(player_incident_edges(net)) - frozenset(drop)
-            new_edges = closure(net, [i], adjacency, allow_new=False)
-            gain = utility_pair(net, game, new_edges).of(i) - base.of(i)
-            if gain > 0:
-                key = (-gain, r, tuple(sorted(drop)))
-                if best is None or key < best[0]:
-                    best = (key, new_edges)
-    return None if best is None else best[1]
+    p, q = game.ratio(i)
+    pairs = sole_covered_pairs(net, i)
+    loss = {j: q * net.degree(j) - p for e in pairs for j in e}
+    bundle = _smallest_min_cut_side(loss, pairs, q)
+    cut = sum((a in bundle) != (b in bundle) for a, b in pairs)
+    free = {j for j in net.neighbours(i) - loss.keys() if drop_score(net, game, i, j) > 0}
+    if not free and sum(loss[j] for j in bundle) + q * cut >= 0:
+        return None
+    return pure_deletion(net, i, free | bundle)
+
+
+def _smallest_min_cut_side(
+    weight: dict[int, int], pairs: Sequence[Edge], pair_cost: int
+) -> set[int]:
+    """Smallest D minimising sum(weight over D) + pair_cost * (pairs with one
+    end in D): what the source still reaches after an Edmonds-Karp flow."""
+    source, sink = 0, -1
+    cap = {source: {j: -w for j, w in weight.items() if w < 0}, sink: {}}
+    cap.update((j, {sink: w} if w > 0 else {}) for j, w in weight.items())
+    for a, b in pairs:
+        cap[a][b] = cap[b][a] = pair_cost
+    while True:
+        parent = {source: source}
+        queue = [source]
+        for u in queue:
+            for v, c in cap[u].items():
+                if c > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return set(parent) - {source}
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        flow = min(cap[u][v] for v, u in zip(path, path[1:]))
+        for v, u in zip(path, path[1:]):
+            cap[u][v] -= flow
+            cap[v][u] = cap[v].get(u, 0) + flow
 
 
 def has_improving_pure_deletion(net: Network, game: GameSpec) -> Optional[int]:
-    """Player with a strictly-improving pure-deletion move, if any.
-
-    A player covering no non-player pair alone has edge-independent drop
-    marginals, so single-edge thresholds suffice for her (complementarity);
-    the subset search is only entered when sole-covered pairs exist.
-    """
+    """Player with a strictly-improving pure-deletion move, if any."""
     for i in net.players:
-        singles_ok = True
-        has_collateral = False
-        for e in sorted(net.edges):
-            if i not in e:
-                continue
-            j = e[0] if e[1] == i else e[1]
-            if net.is_player(j):
-                if net.degree(j) < game.alpha(i):
-                    singles_ok = False
-            else:
-                sole = sole_cover_count(net, j, i)
-                if sole:
-                    has_collateral = True
-                if net.degree(j) + sole < game.alpha(i):
-                    singles_ok = False
-        if not singles_ok:
+        if any(drop_score(net, game, i, j) > 0 for j in net.neighbours(i)):
             return i
-        if has_collateral and improving_pure_deletion(net, game, i) is not None:
+        if bundles_can_pay(net, i) and improving_pure_deletion(net, game, i) is not None:
             return i
     return None
+
+
+def link_score(net: Network, game: GameSpec, i: int, j: int) -> int:
+    """q_i times i's gain from a new edge to player j: deg(j) + 1 - alpha_i."""
+    p, q = game.ratio(i)
+    return q * (net.degree(j) + 1) - p
+
+
+def blocks(net: Network, game: GameSpec, i: int, j: int) -> bool:
+    """Whether both players weakly gain from a new edge (i, j), one strictly."""
+    gi, gj = link_score(net, game, i, j), link_score(net, game, j, i)
+    return gi >= 0 and gj >= 0 and (gi > 0 or gj > 0)
 
 
 def blocking_pair(net: Network, game: GameSpec) -> Optional[Edge]:
     """Missing player pair both sides weakly want, one strictly (first in
     lexicographic order)."""
-    for i in net.players:
-        for j in net.players:
-            if j <= i or edge(i, j) in net.edges:
-                continue
-            gi = Fraction(net.degree(j) + 1) - game.alpha(i)
-            gj = Fraction(net.degree(i) + 1) - game.alpha(j)
-            if gi >= 0 and gj >= 0 and (gi > 0 or gj > 0):
-                return (i, j)
+    for i, j in itertools.combinations(net.players, 2):
+        if edge(i, j) not in net.edges and blocks(net, game, i, j):
+            return (i, j)
     return None
 
 

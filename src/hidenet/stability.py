@@ -12,22 +12,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import ValidationError
-from .model import Edge, GameSpec, Network, edge, sole_cover_count
+from .model import Edge, GameSpec, Network, edge
 from .moves import (
     DEFAULT_MOVE_BUDGET,
     DeviationMove,
     blocking_pair,
+    bundles_can_pay,
     check_move_budget,
-    closure,
     improving_coalition_move,
     improving_pure_deletion,
     make_move,
-    player_incident_edges,
-    utility_pair,
+    profitable_drops,
+    pure_deletion,
 )
 
 
@@ -50,20 +49,23 @@ def _check_game(net: Network, game: GameSpec) -> None:
 
 def _set_addition_gain(
     net: Network, game: GameSpec, i: int, targets: tuple[int, ...]
-) -> tuple[Fraction, frozenset[Edge]]:
-    """Gain to player i from connecting to ``targets`` and interconnecting
-    all her non-player neighbours afterwards."""
-    new_edges = set(net.edges) | {edge(i, j) for j in targets}
-    nonplayer_neighbours = sorted(
-        v
-        for v in net.nonplayers
-        if edge(i, v) in new_edges
-    )
-    for j, l in itertools.combinations(nonplayer_neighbours, 2):
-        new_edges.add(edge(j, l))
-    frozen = frozenset(new_edges)
-    gain = utility_pair(net, game, frozen).of(i) - utility_pair(net, game, net.edges).of(i)
-    return gain, frozen
+) -> tuple[int, set[Edge]]:
+    """q_i times i's gain from connecting to ``targets`` and interconnecting
+    all her non-player neighbours afterwards, and the edges this adds: each
+    target adds deg + 1 to S_i and one to deg(i), and each new pair adds 2."""
+    p, q = game.ratio(i)
+    mine = net.nonplayer_neighbours(i) + list(targets)
+    pairs = {edge(j, l) for j, l in itertools.combinations(mine, 2) if l not in net.neighbours(j)}
+    score = q * (sum(net.degree(t) + 1 for t in targets) + 2 * len(pairs)) - p * len(targets)
+    return score, pairs | {edge(i, t) for t in targets}
+
+
+def missing_interconnection(net: Network, i: int) -> Optional[Edge]:
+    """First pair of i's non-player neighbours that is not joined, if any."""
+    for j, l in itertools.combinations(net.nonplayer_neighbours(i), 2):
+        if l not in net.neighbours(j):
+            return (j, l)
+    return None
 
 
 def improving_set_addition(
@@ -78,9 +80,9 @@ def improving_set_addition(
     candidates = sorted(v for v in net.nonplayers if v not in net.neighbours(i))
     for r in range(1, len(candidates) + 1):
         for targets in itertools.combinations(candidates, r):
-            gain, new_edges = _set_addition_gain(net, game, i, targets)
-            if gain > 0:
-                return targets, new_edges
+            score, added = _set_addition_gain(net, game, i, targets)
+            if score > 0:
+                return targets, net.edges | added
     return None
 
 
@@ -98,7 +100,8 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
     f. no player gains from deleting a *set* of her edges.  Conditions a
        and c cover single deletions; when a player alone holds non-player
        pairs together, dropped bundles share the collateral and can beat
-       every single drop, so the subset search completes the test.
+       every single drop, so the subset search completes the test.  Other
+       players' drop marginals add up, so a and c settle their case.
     """
     _check_game(net, game)
 
@@ -106,15 +109,11 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
         move = make_move(net, game, coalition, new_edges)
         return StabilityVerdict(False, "PANE", 1, move, condition)
 
-    adjacency = player_incident_edges(net)
     # (a) player-to-non-player deletions
     for i in net.players:
-        for j in sorted(net.neighbours(i)):
-            if net.is_player(j):
-                continue
-            if Fraction(net.degree(j) + sole_cover_count(net, j, i)) < game.alpha(i):
-                new_edges = closure(net, [i], adjacency - {edge(i, j)}, allow_new=False)
-                return unstable("nonplayer-edge-deletion", [i], new_edges)
+        drops = profitable_drops(net, game, i, players=False)
+        if drops:
+            return unstable("nonplayer-edge-deletion", [i], pure_deletion(net, i, drops[:1]))
     # (b) set additions to non-players
     for i in net.players:
         found = improving_set_addition(net, game, i)
@@ -122,33 +121,21 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
             return unstable("nonplayer-set-addition", [i], found[1])
     # (c) player-player deletions
     for i in net.players:
-        for j in sorted(net.neighbours(i)):
-            if not net.is_player(j):
-                continue
-            if Fraction(net.degree(j)) < game.alpha(i):
-                new_edges = closure(net, [i], adjacency - {edge(i, j)}, allow_new=False)
-                return unstable("player-edge-deletion", [i], new_edges)
+        drops = profitable_drops(net, game, i, players=True)
+        if drops:
+            return unstable("player-edge-deletion", [i], pure_deletion(net, i, drops[:1]))
     # (d) pairwise stability
     pair = blocking_pair(net, game)
     if pair is not None:
         return unstable("missing-player-pair", list(pair), frozenset(net.edges | {pair}))
     # (e) neighbour interconnection
     for i in net.players:
-        nonplayer_neighbours = sorted(v for v in net.neighbours(i) if not net.is_player(v))
-        for j, l in itertools.combinations(nonplayer_neighbours, 2):
-            if edge(j, l) not in net.edges:
-                return unstable(
-                    "uninterconnected-neighbours", [i], frozenset(net.edges | {edge(j, l)})
-                )
+        missing = missing_interconnection(net, i)
+        if missing is not None:
+            return unstable("uninterconnected-neighbours", [i], net.edges | {missing})
     # (f) set deletions (only players with sole-covered pairs can differ here)
     for i in net.players:
-        if all(
-            sole_cover_count(net, j, i) == 0
-            for j in sorted(net.neighbours(i))
-            if not net.is_player(j)
-        ):
-            continue
-        new_edges = improving_pure_deletion(net, game, i)
+        new_edges = improving_pure_deletion(net, game, i) if bundles_can_pay(net, i) else None
         if new_edges is not None:
             return unstable("set-deletion", [i], new_edges)
     return StabilityVerdict(True, "PANE", 1)
@@ -194,9 +181,6 @@ def is_k_strong(
     pairwise stability is implied by the coalition search; the implication
     is asserted rather than trusted.
     """
-    _check_game(net, game)
-    if not 1 <= k <= net.num_players:
-        raise ValidationError(f"strength k={k} outside 1..{net.num_players}")
     label = "PANE" if k == 1 else "k-PANE"
     nash = is_k_nash(net, game, k, move_budget)
     pair = blocking_pair(net, game)

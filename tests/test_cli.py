@@ -185,3 +185,23 @@ def test_golden_reports(name, argv):
     assert code == 0
     golden = GOLDEN / name
     assert out == golden.read_text(), f"schema drift against {name}"
+
+
+def test_meet_of_graphs_sharing_a_pair_through_different_players(tmp_path):
+    game = tmp_path / "three.game"
+    game.write_text("[players]\n1 3\n2 3\n3 3\n[nonplayers]\n4 5\n")
+    left = tmp_path / "left.graph"
+    left.write_text("[edges]\n1 4\n1 5\n2 4\n3 4\n4 5\n")
+    right = tmp_path / "right.graph"
+    right.write_text("[edges]\n1 4\n2 4\n2 5\n3 4\n4 5\n")
+    code, out = run("meet", "--game", str(game), "--graph", str(left), "--graph", str(right))
+    assert code == 0
+    assert json.loads(out)["network"]["edges"] == [[1, 4], [2, 4], [3, 4]]
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_bad_oracle_budget_exits_2(monkeypatch, value):
+    monkeypatch.setenv("HIDENET_ORACLE_BUDGET", value)
+    code, out = run("enumerate", "--game", fx("fig2.game"))
+    assert code == 2
+    assert "HIDENET_ORACLE_BUDGET" in out and "non-negative integer" in out

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +8,7 @@ from hidenet import (
     GameSpec,
     PreconditionError,
     build_network,
+    enumerate_feasible_graphs,
     enumerate_lattice,
     greatest_pans,
     join_pans,
@@ -97,3 +100,35 @@ def test_enumerate_nesting_example5(example5_game):
     for k in (1, 2):
         summary = enumerate_lattice(example5_game, 0, k=k)
         assert [n.edges for n in summary.elements] == [frozenset()]
+
+
+def test_meet_drops_nonplayer_pairs_the_intersection_leaves_uncovered():
+    # (4, 5) is held by player 1 on the left and player 2 on the right;
+    # neither covers it in the intersection, so no stable subgraph keeps it
+    game = GameSpec([F(3)] * 3)
+    left = build_network(3, 2, [(1, 4), (1, 5), (2, 4), (3, 4), (4, 5)])
+    right = build_network(3, 2, [(1, 4), (2, 4), (2, 5), (3, 4), (4, 5)])
+    met = meet_pans(game, left, right)
+    assert met.edges == frozenset({(1, 4), (2, 4), (3, 4)})
+    summary = enumerate_lattice(game, 2)  # checks every meet against the GLB
+    assert met.edges in {n.edges for n in summary.elements}
+
+
+def test_meet_is_the_glb_on_seeded_instances():
+    # alphas near 3 at (3, 2) make many stable graphs that hold one
+    # non-player pair through different players
+    rng = random.Random(0x3EE7)
+    uncovered = 0
+    for _ in range(8):
+        game = GameSpec([F(rng.randint(5, 7), 2) for _ in range(3)])
+        fgs = enumerate_feasible_graphs(game, 2)
+        nets = fgs.pans_networks(1)
+        sets = [n.edges for n in nets]
+        for a, b in itertools.combinations(nets, 2):
+            glb = max((s for s in sets if s <= a.edges & b.edges), key=len)
+            assert meet_pans(game, a, b).edges == glb
+            common = a.with_edges_unchecked(a.edges & b.edges)
+            uncovered += any(
+                not common.common_player_neighbours(*e) for e in common.added_nonplayer_edges()
+            )
+    assert uncovered > 0
