@@ -29,7 +29,7 @@ from .model import (
     utility,
 )
 from .moves import blocking_pair
-from .oracle import enumerate_feasible_graphs, max_social_welfare
+from .oracle import _max_welfare, enumerate_feasible_graphs
 from .stability import improving_set_addition, is_nash_stable
 
 Ratio = Union[Fraction, float]
@@ -414,8 +414,8 @@ def efficiency(
     budget: Optional[int] = None,
 ) -> EfficiencyReport:
     """Exact welfare extremes and prices over the enumerated k-strong set."""
-    max_sw, witness = max_social_welfare(game, num_nonplayers, original_edges, budget)
     fgs = enumerate_feasible_graphs(game, num_nonplayers, original_edges, budget)
+    max_sw, witness = _max_welfare(fgs.space)
     sws = [fgs.utilities(mask).sw for mask in fgs.pans_masks(k)]
     if not sws:
         raise AssertionError("no stable graph found; a stable graph always exists")
@@ -536,7 +536,7 @@ def strength_equivalences(
     )
     strong_utils = [utils[mask].per_player for mask in k_masks if mask in strong_masks]
     identical = len(set(strong_utils)) <= 1
-    max_sw, _ = max_social_welfare(game, num_nonplayers, original_edges, budget)
+    max_sw, _ = _max_welfare(fgs.space)
     sws = [utils[mask].sw for mask in k_masks]
     k_poa = _ratio(max_sw, min(sws))
     k_pos = _ratio(max_sw, max(sws))

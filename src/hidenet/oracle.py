@@ -2,10 +2,12 @@
 
 Every subset of candidate edges (all pairs outside E0) is a potential
 state; a subset is feasible when each added non-player edge has a player
-adjacent to both endpoints.  Degrees and neighbour-degree sums are
-precomputed for every subset as integer tables, so stability and welfare
-questions reduce to exact integer comparisons (alpha_i = p_i / q_i is
-cross-multiplied, never evaluated in floating point).
+adjacent to both endpoints.  Degrees and q_i times each player's utility
+are precomputed for every subset as integer tables, so stability and
+welfare questions reduce to exact integer comparisons (alpha_i = p_i / q_i
+is cross-multiplied, never evaluated in floating point).  Inputs whose
+tables could leave int64 are rejected up front.  A coalition's deviations
+are scored for many masks at once, one numpy block per coalition.
 
 The deviation semantics mirror ``moves.py`` but are re-implemented on the
 bitmask representation: the two routes share nothing except the model
@@ -38,6 +40,16 @@ from .stability import StabilityVerdict
 
 DEFAULT_EDGE_BUDGET = 18
 _BUDGET_ENV = "HIDENET_ORACLE_BUDGET"
+# Most moves one block of the stability kernel holds; mask rows are chunked to fit.
+_BLOCK_ELEMENTS = 1 << 16
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _require_int64(bound: int, what: str) -> None:
+    if bound > _INT64_MAX:
+        raise ValidationError(
+            f"{what} is {bound}, beyond the oracle's int64 tables (at most 2^63 - 1)"
+        )
 
 
 def edge_budget() -> int:
@@ -75,6 +87,12 @@ class OracleSpace:
                 f"{candidate_edge_count(n, m)} candidate edges exceed the "
                 f"oracle budget of {limit}"
             )
+        nodes = n + m
+        for i, a in enumerate(game.alphas, start=1):
+            _require_int64(
+                a.denominator * nodes**2 + a.numerator * nodes,
+                f"the scaled utility bound of player {i} (alpha {a})",
+            )
         self.game = game
         self.n, self.m = n, m
         self.e0 = edge_set(original_edges)
@@ -89,24 +107,24 @@ class OracleSpace:
         masks = np.arange(self.size, dtype=np.int64)
         self.masks = masks
 
-        deg = np.zeros((self.size, n + m + 1), dtype=np.int64)
+        # one row per node, so that every update below is contiguous
+        deg = np.zeros((n + m + 1, self.size), dtype=np.int64)
         for t, (a, b) in enumerate(self.cand):
             bit = (masks >> t) & 1
-            deg[:, a] += bit
-            deg[:, b] += bit
+            deg[a] += bit
+            deg[b] += bit
         for a, b in self.e0:
-            deg[:, a] += 1
-            deg[:, b] += 1
+            deg[a] += 1
+            deg[b] += 1
         self.deg = deg
 
-        S = np.zeros((self.size, n + 1), dtype=np.int64)
+        S = np.zeros((n + 1, self.size), dtype=np.int64)
         for t, (a, b) in enumerate(self.cand):
             bit = (masks >> t) & 1
             if a <= n:
-                S[:, a] += bit * deg[:, b]
+                S[a] += bit * deg[b]
             if b <= n:
-                S[:, b] += bit * deg[:, a]
-        self.S = S
+                S[b] += bit * deg[a]
 
         feasible = np.ones(self.size, dtype=bool)
         for j, l in self.np_pairs:
@@ -122,6 +140,10 @@ class OracleSpace:
 
         self.p = np.array([0] + [a.numerator for a in game.alphas], dtype=np.int64)
         self.q = np.array([1] + [a.denominator for a in game.alphas], dtype=np.int64)
+        # qu[i, mask] = q_i * u_i(mask) = q_i * S_i - p_i * deg_i, one row per player
+        self.qu = np.zeros((n + 1, self.size), dtype=np.int64)
+        for i in range(1, n + 1):
+            self.qu[i] = self.q[i] * S[i] - self.p[i] * deg[i]
         self._nash_cache: dict[int, np.ndarray] = {}
         self._pairwise: Optional[np.ndarray] = None
 
@@ -146,112 +168,102 @@ class OracleSpace:
 
     def utilities(self, mask: int) -> UtilityVector:
         per = tuple(
-            Fraction(int(self.S[mask, i])) - self.game.alpha(i) * int(self.deg[mask, i])
-            for i in range(1, self.n + 1)
+            Fraction(int(self.qu[i, mask]), int(self.q[i])) for i in range(1, self.n + 1)
         )
         return UtilityVector(per)
 
     # -- stability ------------------------------------------------------------
 
-    def _player_adjacency_bit(self, player_part: np.ndarray, i: int, j: int) -> np.ndarray:
-        return ((player_part >> self.pos[edge(i, j)]) & 1).astype(bool)
+    def _move_plan(self, coalition: tuple[int, ...]) -> tuple:
+        """Bit layout of a coalition's moves: (clear, outside, choices, kept).
 
-    def _coalition_positions(self, coalition: tuple[int, ...], mask: int):
-        """(variable positions, cleared positions) of a coalition's move.
-
-        Variable: member pairs and member-to-non-player edges (free) plus
-        present member-to-outside-player edges (delete only).  Cleared:
-        every member-incident player edge; absent member-to-outside pairs
-        stay absent because they are cleared but not variable.
+        ``clear`` holds every member-incident edge and every candidate
+        non-player pair; the move rewrites them.  Member pairs and
+        member-to-non-player edges are free, edges to outside players
+        (``outside``) are delete only.  ``choices`` sets the free positions,
+        then the outside ones, each ascending, by counter, and adds the
+        non-player pairs that members then cover.  ``kept`` lists each
+        non-player pair's bit with the patterns by which an outside player
+        covers it: a present pair survives such a cover.
         """
+        n, m = self.n, self.m
         members = set(coalition)
-        inside = [
-            self.pos[edge(a, b)] for a, b in itertools.combinations(sorted(members), 2)
-        ]
-        to_nonplayers = [
-            self.pos[edge(i, j)]
-            for i in sorted(members)
-            for j in range(self.n + 1, self.n + self.m + 1)
-        ]
-        to_outside = [
-            self.pos[edge(i, j)]
-            for i in sorted(members)
-            for j in range(1, self.n + 1)
-            if j not in members and mask >> self.pos[edge(i, j)] & 1
-        ]
-        cleared = [
-            self.pos[edge(i, x)]
-            for i in sorted(members)
-            for x in range(1, self.n + self.m + 1)
-            if x != i and not (x in members and x < i)
-        ]
-        return sorted(set(inside + to_nonplayers)) + sorted(to_outside), cleared
-
-    def _moves_for(self, mask: int, coalition: tuple[int, ...]) -> np.ndarray:
-        """All reachable full-edge-set masks for a coalition move, closure
-        applied, in ascending enumeration order."""
-        members = set(coalition)
-        var_pos, cleared = self._coalition_positions(coalition, mask)
-        np_positions = [self.pos[e] for e in self.np_pairs]
+        free = sorted(
+            {self.pos[edge(a, b)] for a, b in itertools.combinations(coalition, 2)}
+            | {self.pos[edge(i, j)] for i in coalition for j in range(n + 1, n + m + 1)}
+        )
+        outside = sorted(
+            self.pos[edge(i, j)] for i in coalition for j in range(1, n + 1) if j not in members
+        )
+        counters = np.arange(1 << (len(free) + len(outside)), dtype=np.int64)
+        choices = np.zeros_like(counters)
         clear = 0
-        for t in cleared:
+        for idx, t in enumerate(free + outside):
+            choices |= ((counters >> idx) & 1) << t
             clear |= 1 << t
-        for t in np_positions:
-            clear |= 1 << t
-        base = mask & ~clear
-        f = len(var_pos)
-        moves = np.full(1 << f, base, dtype=np.int64)
-        counters = np.arange(1 << f, dtype=np.int64)
-        for idx, t in enumerate(var_pos):
-            moves |= ((counters >> idx) & 1) << t
-        # closure for non-player pairs
-        for j, l in self.np_pairs:
-            any_cover = np.zeros(len(moves), dtype=bool)
-            member_cover = np.zeros(len(moves), dtype=bool)
-            for i in range(1, self.n + 1):
-                v = self._player_adjacency_bit(moves, i, j) & self._player_adjacency_bit(
-                    moves, i, l
-                )
-                any_cover |= v
-                if i in members:
-                    member_cover |= v
-            present = bool(mask >> self.pos[(j, l)] & 1)
-            keep = (any_cover & present) | member_cover
-            moves |= keep.astype(np.int64) << self.pos[(j, l)]
-        return moves
 
-    def _improving_move(self, mask: int, coalition: tuple[int, ...]) -> Optional[int]:
-        moves = self._moves_for(mask, coalition)
-        ok = np.ones(len(moves), dtype=bool)
-        strict = np.zeros(len(moves), dtype=bool)
-        for i in coalition:
-            dS = self.S[moves, i] - self.S[mask, i]
-            dd = self.deg[moves, i] - self.deg[mask, i]
-            gain = self.q[i] * dS - self.p[i] * dd
-            ok &= gain >= 0
-            strict |= gain > 0
-        hit = np.flatnonzero(ok & strict)
-        if len(hit) == 0:
-            return None
-        return int(moves[hit[0]])
+        def cover(i: int, j: int, l: int) -> int:
+            return 1 << self.pos[edge(i, j)] | 1 << self.pos[edge(i, l)]
+
+        kept = []
+        for j, l in self.np_pairs:
+            t = self.pos[(j, l)]
+            clear |= 1 << t
+            covered = np.zeros(len(choices), dtype=bool)
+            for i in coalition:
+                pattern = cover(i, j, l)
+                covered |= (choices & pattern) == pattern
+            choices |= covered.astype(np.int64) << t
+            kept.append((1 << t, [cover(i, j, l) for i in range(1, n + 1) if i not in members]))
+        return clear, sum(1 << t for t in outside), choices, kept
+
+    def first_improving_moves(self, masks: np.ndarray, coalition: tuple[int, ...]) -> np.ndarray:
+        """Per mask, the coalition's first improving move in counter order
+        (closure applied), or -1 where it has none.
+
+        The moves of a mask row are ``base | (choices & (mask | ~outside))``,
+        where ``base`` keeps the edges no member touches and the non-player
+        pairs an outside player still covers.  Rows are chunked so that one
+        block holds at most ``_BLOCK_ELEMENTS`` moves, or one mask's moves
+        where those are more (at most 2^C, which the budget bounds).
+        """
+        clear, outside, choices, kept = self._move_plan(coalition)
+        base = masks & ~clear
+        for pair_bit, patterns in kept:
+            covered = np.zeros(len(masks), dtype=bool)
+            for pattern in patterns:
+                covered |= (masks & pattern) == pattern
+            base |= (masks & pair_bit) * covered
+        allowed = masks | ~outside
+        found = np.full(len(masks), -1, dtype=np.int64)
+        rows = max(1, _BLOCK_ELEMENTS // len(choices))
+        for lo in range(0, len(masks), rows):
+            span = slice(lo, lo + rows)
+            moves = choices & allowed[span, None]
+            moves |= base[span, None]
+            ok = np.ones(moves.shape, dtype=bool)
+            strict = np.zeros(moves.shape, dtype=bool)
+            for i in coalition:
+                table = self.qu[i]
+                after, before = table[moves], table[masks[span], None]
+                ok &= after >= before
+                strict |= after > before
+            hit = ok & strict
+            rows_hit = np.flatnonzero(hit.any(axis=1))
+            found[lo + rows_hit] = moves[rows_hit, hit[rows_hit].argmax(axis=1)]
+        return found
 
     def nash_flags(self, k: int) -> np.ndarray:
         """Boolean array over all masks: no improving coalition of size <= k."""
         if k in self._nash_cache:
             return self._nash_cache[k]
-        if k > 1:
-            flags = self.nash_flags(k - 1).copy()
-            sizes = [k]
-        else:
-            flags = self.feasible.copy()
-            sizes = [1]
-        for size in sizes:
-            if size > self.n:
-                break
-            for coalition in itertools.combinations(range(1, self.n + 1), size):
-                for mask in np.flatnonzero(flags):
-                    if self._improving_move(int(mask), coalition) is not None:
-                        flags[mask] = False
+        flags = (self.nash_flags(k - 1) if k > 1 else self.feasible).copy()
+        if k <= self.n:
+            for coalition in itertools.combinations(range(1, self.n + 1), k):
+                live = np.flatnonzero(flags)
+                if len(live) == 0:
+                    break
+                flags[live[self.first_improving_moves(live, coalition) >= 0]] = False
         self._nash_cache[k] = flags
         return flags
 
@@ -263,8 +275,8 @@ class OracleSpace:
         for i, j in itertools.combinations(range(1, self.n + 1), 2):
             t = self.pos[edge(i, j)]
             present = ((self.masks >> t) & 1).astype(bool)
-            gi = self.q[i] * (self.deg[:, j] + 1) - self.p[i]
-            gj = self.q[j] * (self.deg[:, i] + 1) - self.p[j]
+            gi = self.q[i] * (self.deg[j] + 1) - self.p[i]
+            gj = self.q[j] * (self.deg[i] + 1) - self.p[j]
             blocking = ~present & (gi >= 0) & (gj >= 0) & ((gi > 0) | (gj > 0))
             ok &= ~blocking
         self._pairwise = ok
@@ -330,10 +342,11 @@ def exhaustive_stability(
     space = OracleSpace(game, net.num_nonplayers, net.original_edges, budget)
     mask = space.mask_of(net.edges)
     label = "PANE" if k == 1 else "k-PANE"
+    one = np.array([mask], dtype=np.int64)
     for size in range(1, min(k, net.num_players) + 1):
         for coalition in itertools.combinations(range(1, net.num_players + 1), size):
-            hit = space._improving_move(mask, coalition)
-            if hit is not None:
+            hit = int(space.first_improving_moves(one, coalition)[0])
+            if hit >= 0:
                 move = make_move(net, game, list(coalition), space.edges_of(hit))
                 return StabilityVerdict(False, label, k, move)
     if not bool(space.pairwise_flags()[mask]):
@@ -341,8 +354,8 @@ def exhaustive_stability(
             t = space.pos[edge(i, j)]
             if mask >> t & 1:
                 continue
-            gi = Fraction(int(space.deg[mask, j]) + 1) - game.alpha(i)
-            gj = Fraction(int(space.deg[mask, i]) + 1) - game.alpha(j)
+            gi = Fraction(int(space.deg[j, mask]) + 1) - game.alpha(i)
+            gj = Fraction(int(space.deg[i, mask]) + 1) - game.alpha(j)
             if gi >= 0 and gj >= 0 and (gi > 0 or gj > 0):
                 move = make_move(net, game, [i, j], frozenset(net.edges | {edge(i, j)}))
                 return StabilityVerdict(False, label, k, move)
@@ -357,14 +370,25 @@ def max_social_welfare(
     budget: Optional[int] = None,
 ) -> tuple[Fraction, Network]:
     """Exact maximum social welfare over all feasible states, with witness."""
-    space = OracleSpace(game, num_nonplayers, original_edges, budget)
-    L = math.lcm(*(a.denominator for a in game.alphas))
-    swL = np.zeros(space.size, dtype=np.int64)
-    for i in range(1, space.n + 1):
-        swL += L * space.S[:, i] - (L // space.q[i]) * space.p[i] * space.deg[:, i]
-    sub = swL[space.feasible_masks]
-    winner = int(space.feasible_masks[int(np.argmax(sub))])
-    return Fraction(int(swL[winner]), L), space.network_of(winner)
+    return _max_welfare(OracleSpace(game, num_nonplayers, original_edges, budget))
+
+
+def _max_welfare(space: OracleSpace) -> tuple[Fraction, Network]:
+    """Maximum welfare over ``space``'s feasible states, summed as
+    L * welfare = sum_i (L / q_i) * qu_i with L the lcm of the q_i."""
+    alphas = space.game.alphas
+    nodes = space.n + space.m
+    L = math.lcm(*(a.denominator for a in alphas))
+    _require_int64(
+        sum(L * nodes**2 + L // a.denominator * a.numerator * nodes for a in alphas),
+        "the lcm-scaled welfare bound",
+    )
+    swL = np.zeros(len(space.feasible_masks), dtype=np.int64)
+    for i, a in enumerate(alphas, start=1):
+        swL += L // a.denominator * space.qu[i, space.feasible_masks]
+    best = int(np.argmax(swL))
+    winner = int(space.feasible_masks[best])
+    return Fraction(int(swL[best]), L), space.network_of(winner)
 
 
 @dataclass
@@ -410,6 +434,7 @@ def cross_validate(
         pans_counts[k] = len(fgs.pans_masks(k))
 
     pans1 = set(fgs.pans_masks(1))
+    strong = {k: set(fgs.pans_masks(k)) for k in range(2, max_k + 1)}
     for mask in fgs.masks:
         mask = int(mask)
         net = fgs.network(mask)
@@ -421,7 +446,7 @@ def cross_validate(
             )
         for k in range(2, max_k + 1):
             fast_k = bool(is_k_strong(net, game, k))
-            truth_k = mask in set(fgs.pans_masks(k))
+            truth_k = mask in strong[k]
             if fast_k != truth_k:
                 disagreements.append(
                     Disagreement("is_k_strong", k, tuple(sorted(net.edges)), fast_k, truth_k)

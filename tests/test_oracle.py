@@ -1,17 +1,30 @@
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from hidenet import (
     BudgetExceededError,
     GameSpec,
+    ValidationError,
     build_network,
     cross_validate,
+    efficiency,
     enumerate_feasible_graphs,
     exhaustive_stability,
+    is_k_strong,
+    is_pane,
     max_social_welfare,
+    strength_equivalences,
     utility,
 )
+from hidenet import oracle
+from hidenet.moves import improving_coalition_move
 from hidenet.oracle import candidate_edge_count
 
 from conftest import complete_edges, random_instance
@@ -142,3 +155,145 @@ def test_witness_replay_through_model(fig3_game, fig3_graphs):
         assert after.of(i) - before.of(i) == move.deltas[i]
     rebuilt = g2.with_edges((g2.edges - move.deleted_edges) | move.added_edges)
     assert rebuilt.edges == move.result.edges
+
+
+def test_efficiency_and_strength_build_one_space_each(monkeypatch, fig2_game):
+    built = []
+    init = oracle.OracleSpace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.OracleSpace, "__init__", counting_init)
+    assert efficiency(fig2_game, 0).max_sw == 18
+    assert strength_equivalences(fig2_game, 0).all_hold
+    assert len(built) == 2
+
+
+# -- int64 input bound ------------------------------------------------------------
+
+
+def test_alphas_that_would_wrap_int64_are_rejected():
+    # q*(n+m)^2 + p*(n+m) = 3*2^63 + 16: unchecked, the tables wrap and the
+    # oracle calls the empty graph unstable, while is_pane calls it stable
+    game = GameSpec((F(3 * 2**61), F(3 * 2**61)))
+    assert is_pane(build_network(2, 2, []), game)
+    with pytest.raises(ValidationError, match="int64"):
+        enumerate_feasible_graphs(game, 2)
+    with pytest.raises(ValidationError, match="int64"):
+        cross_validate(game, 2)
+
+
+def test_alpha_beyond_int64_is_a_validation_error():
+    # unchecked, building the int64 tables raises a bare OverflowError
+    with pytest.raises(ValidationError, match="int64"):
+        enumerate_feasible_graphs(GameSpec((F(10**20), F(1))), 0)
+
+
+def test_int64_bound_is_exact_at_the_edge():
+    # n = 2, m = 0: q*4 + p*2 must stay within 2^63 - 1
+    top = (2**63 - 1 - 4) // 2
+    fgs = enumerate_feasible_graphs(GameSpec((F(top), F(top))), 0)
+    assert fgs.pans_masks(1) == [0]
+    assert fgs.utilities(1).per_player == (1 - F(top), 1 - F(top))
+    with pytest.raises(ValidationError, match="int64"):
+        enumerate_feasible_graphs(GameSpec((F(top + 1), F(top))), 0)
+
+
+def test_lcm_scaled_welfare_beyond_int64_is_a_validation_error():
+    # each table fits, but lcm(2^40, 2^40 - 1) * (n+m)^2 does not
+    game = GameSpec((F(1, 2**40), F(1, 2**40 - 1)))
+    assert len(enumerate_feasible_graphs(game, 0)) == 2
+    with pytest.raises(ValidationError, match="welfare"):
+        max_social_welfare(game, 0)
+    with pytest.raises(ValidationError, match="welfare"):
+        efficiency(game, 0)
+
+
+def test_cli_efficiency_on_overflowing_game_exits_2(tmp_path):
+    path = tmp_path / "huge.game"
+    path.write_text(f"[players]\n1 {10**20}\n2 1\n")
+    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hidenet.cli", "efficiency", "--game", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "int64" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+# -- the stability kernel against the independent routes --------------------------
+
+
+def _kernel_instances():
+    """Twelve seeded instances with at most 10 candidate edges."""
+    rng = random.Random(0x0AC1E)
+    sizes = [(2, 2), (3, 1), (4, 0), (3, 2), (2, 3), (4, 1)]
+    out = []
+    for t in range(12):
+        n, m = sizes[t % len(sizes)]
+        den = rng.choice([1, 2, 3])
+        alphas = [F(rng.randint(0, 6 * den), den) for _ in range(n)]
+        e0 = [(a, b) for a in range(n + 1, n + m + 1) for b in range(a + 1, n + m + 1)
+              if rng.random() < 0.3]
+        assert candidate_edge_count(n, m) - len(e0) <= 10
+        out.append((GameSpec(alphas), m, e0))
+    return out
+
+
+def test_pans_masks_equal_the_structural_and_search_routes():
+    for game, m, e0 in _kernel_instances():
+        fgs = enumerate_feasible_graphs(game, m, e0)
+        nets = {int(t): fgs.network(int(t)) for t in fgs.masks}
+        assert fgs.pans_masks(1) == [t for t, net in nets.items() if is_pane(net, game)]
+        assert fgs.pans_masks(2) == [
+            t for t, net in nets.items() if is_k_strong(net, game, 2)
+        ]
+
+
+def test_exhaustive_stability_agrees_and_witnesses_replay():
+    for game, m, e0 in _kernel_instances():
+        fgs = enumerate_feasible_graphs(game, m, e0)
+        stable = {k: set(fgs.pans_masks(k)) for k in (1, 2)}
+        for t in fgs.masks:
+            net = fgs.network(int(t))
+            before = utility(net, game)
+            checked = []
+            for k in (1, 2):
+                verdict = exhaustive_stability(net, game, k)
+                assert verdict.stable == (int(t) in stable[k])
+                move = verdict.witness
+                if verdict.stable or move in checked:
+                    continue
+                checked.append(move)
+                after = utility(move.result, game)
+                gains = [after.of(i) - before.of(i) for i in move.coalition]
+                assert gains == [move.deltas[i] for i in move.coalition]
+                assert min(gains) >= 0 and max(gains) > 0
+                # the same first move as the coalition search, else a blocking pair
+                searched = (
+                    improving_coalition_move(net, game, move.coalition)
+                    if len(move.coalition) <= k else None
+                )
+                if searched is None:
+                    assert not move.deleted_edges and len(move.added_edges) == 1
+                    assert move.coalition == next(iter(move.added_edges))
+                else:
+                    assert move.result.edges == searched
+
+
+def test_nash_flags_do_not_depend_on_the_block_size(monkeypatch):
+    spaces = [enumerate_feasible_graphs(g, m, e0).space for g, m, e0 in _kernel_instances()]
+    whole = [[space.nash_flags(k).copy() for k in range(1, space.n + 1)] for space in spaces]
+    witnesses = [space.first_improving_moves(space.feasible_masks, (1,)) for space in spaces]
+    # 8 moves a block: every coalition's masks span several blocks, down to
+    # one mask a block for coalitions with more than 8 moves
+    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 8)
+    for space, flags, first in zip(spaces, whole, witnesses):
+        space._nash_cache.clear()
+        for k in range(1, space.n + 1):
+            assert np.array_equal(space.nash_flags(k), flags[k - 1])
+        assert np.array_equal(space.first_improving_moves(space.feasible_masks, (1,)), first)
