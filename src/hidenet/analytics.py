@@ -29,7 +29,7 @@ from .model import (
     utility,
 )
 from .moves import blocking_pair
-from .oracle import _max_welfare, enumerate_feasible_graphs
+from .oracle import FeasibleGraphSet
 from .stability import improving_set_addition, is_nash_stable
 
 Ratio = Union[Fraction, float]
@@ -411,11 +411,10 @@ def efficiency(
     num_nonplayers: int,
     original_edges: Iterable = (),
     k: int = 1,
-    budget: Optional[int] = None,
 ) -> EfficiencyReport:
     """Exact welfare extremes and prices over the enumerated k-strong set."""
-    fgs = enumerate_feasible_graphs(game, num_nonplayers, original_edges, budget)
-    max_sw, witness = _max_welfare(fgs.space)
+    fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
+    max_sw, witness = fgs.max_welfare()
     sws = [fgs.utilities(mask).sw for mask in fgs.pans_masks(k)]
     if not sws:
         raise AssertionError("no stable graph found; a stable graph always exists")
@@ -517,13 +516,12 @@ def strength_equivalences(
     num_nonplayers: int,
     original_edges: Iterable = (),
     k: int = 1,
-    budget: Optional[int] = None,
 ) -> StrengthReport:
     """Check strength/utility equivalences over the enumerated k-strong set:
     an element is strong iff it gives every player her maximum across the
     set; all strong elements share one utility vector; and the prices at
     strength k coincide iff the k-strong and fully-strong sets are equal."""
-    fgs = enumerate_feasible_graphs(game, num_nonplayers, original_edges, budget)
+    fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
     n = game.num_players
     k_masks = fgs.pans_masks(k)
     strong_masks = set(fgs.pans_masks(n))
@@ -536,7 +534,7 @@ def strength_equivalences(
     )
     strong_utils = [utils[mask].per_player for mask in k_masks if mask in strong_masks]
     identical = len(set(strong_utils)) <= 1
-    max_sw, _ = _max_welfare(fgs.space)
+    max_sw, _ = fgs.max_welfare()
     sws = [utils[mask].sw for mask in k_masks]
     k_poa = _ratio(max_sw, min(sws))
     k_pos = _ratio(max_sw, max(sws))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .model import Edge, GameSpec, Network, edge, sole_covered_pairs
+from .model import Edge, GameSpec, Network, edge, sole_covered_pairs, utilities_from_edges
 from .moves import (
     blocking_pair,
     blocks,
@@ -34,7 +34,6 @@ from .moves import (
     player_incident_edges,
     profitable_drops,
     pure_deletion,
-    utility_pair,
 )
 from .stability import improving_set_addition, missing_interconnection
 
@@ -198,7 +197,7 @@ def _coalition_addition(
     Ordered by coalition size, then lexicographic coalition, then bundle
     size, so the applied move is a deterministic inclusion-minimal choice.
     """
-    base = utility_pair(net, game, net.edges)
+    base = utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
     adjacency = player_incident_edges(net)
     for size in range(1, min(k, net.num_players) + 1):
         for coalition in itertools.combinations(net.players, size):
@@ -220,7 +219,10 @@ def _coalition_addition(
                 new_edges = closure(net, sorted(coalition), new_adj, allow_new=True)
                 if new_edges == net.edges:
                     continue
-                if improves_all(base, utility_pair(net, game, new_edges), coalition):
+                after = utilities_from_edges(
+                    net.num_players, net.num_nodes, new_edges, game.alphas
+                )
+                if improves_all(base, after, coalition):
                     return new_edges
     return None
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import PreconditionError
 from .fixpoint import max_included_pans, min_including_pans
 from .model import Edge, GameSpec, Network, build_network, edge_set
-from .oracle import enumerate_feasible_graphs
+from .oracle import FeasibleGraphSet
 from .stability import is_k_strong, is_pane
 
 
@@ -35,27 +35,13 @@ def least_pans(
 
 
 def greatest_pans(
-    game: GameSpec,
-    num_nonplayers: int,
-    original_edges: Iterable = (),
-    verify_strong: bool = False,
+    game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()
 ) -> Network:
-    """Inclusion-maximum stable graph: shrink from the complete graph.
-
-    With ``verify_strong`` the result is additionally asserted to survive
-    coalition deviations of every size (it always should).
-    """
+    """Inclusion-maximum stable graph: shrink from the complete graph."""
     n, m = game.num_players, num_nonplayers
     complete = [(a, b) for a, b in itertools.combinations(range(1, n + m + 1), 2)]
     start = build_network(n, m, complete, original_edges)
-    out = max_included_pans(start, game)
-    if verify_strong:
-        verdict = is_k_strong(out, game, n)
-        if not verdict.stable:
-            raise AssertionError(
-                f"greatest stable graph admits a coalition deviation: {verdict.witness}"
-            )
-    return out
+    return max_included_pans(start, game)
 
 
 def join_pans(game: GameSpec, net_s: Network, net_t: Network) -> Network:
@@ -120,12 +106,7 @@ def _hasse(edge_sets: list[frozenset[Edge]]) -> list[tuple[int, int]]:
 
 
 def enumerate_lattice(
-    game: GameSpec,
-    num_nonplayers: int,
-    original_edges: Iterable = (),
-    k: int = 1,
-    cross_check: bool = True,
-    budget: Optional[int] = None,
+    game: GameSpec, num_nonplayers: int, original_edges: Iterable = (), k: int = 1
 ) -> LatticeSummary:
     """All k-strong stable graphs of an instance, verified as a lattice.
 
@@ -135,25 +116,23 @@ def enumerate_lattice(
     inside the k-strong one.  Any disagreement raises, since it means two
     independent implementations of the model diverge.
     """
-    fgs = enumerate_feasible_graphs(game, num_nonplayers, original_edges, budget)
-    elements = fgs.pans_networks(k)
-    if not elements:
+    fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
+    masks = fgs.pans_masks(k)
+    if not masks:
         raise AssertionError("stable set is empty; a stable graph always exists")
-    if cross_check:
-        for net in elements:
-            if not is_k_strong(net, game, k).stable:
-                raise AssertionError(
-                    f"oracle marks {sorted(net.edges)} {k}-strong stable, "
-                    "the deviation search disagrees"
-                )
+    elements = [fgs.network(t) for t in masks]
+    for net in elements:
+        if not is_k_strong(net, game, k).stable:
+            raise AssertionError(
+                f"oracle marks {sorted(net.edges)} {k}-strong stable, "
+                "the deviation search disagrees"
+            )
     sets = [n.edges for n in elements]
     failures = bound_failures(game, num_nonplayers, original_edges, sets)
     if failures:
         raise AssertionError(failures[0])
-    if k < game.num_players:
-        stronger = {frozenset(n.edges) for n in fgs.pans_networks(k + 1)}
-        if not stronger <= {frozenset(s) for s in sets}:
-            raise AssertionError(f"{k + 1}-strong stable graphs do not nest in {k}-strong")
+    if k < game.num_players and not set(fgs.pans_masks(k + 1)) <= set(masks):
+        raise AssertionError(f"{k + 1}-strong stable graphs do not nest in {k}-strong")
     order = sorted(range(len(elements)), key=lambda t: (len(sets[t]), sorted(sets[t])))
     elements = [elements[t] for t in order]
     sets = [sets[t] for t in order]

@@ -137,18 +137,14 @@ def coalition_adjacency_choices(
         yield frozenset(fixed | chosen)
 
 
-def utility_pair(net: Network, game: GameSpec, edges: frozenset[Edge]):
-    return utilities_from_edges(net.num_players, net.num_nodes, edges, game.alphas)
-
-
 def make_move(
     net: Network, game: GameSpec, coalition: Sequence[int], new_edges: frozenset[Edge]
 ) -> DeviationMove:
     result = build_network(
         net.num_players, net.num_nonplayers, new_edges, net.original_edges
     )
-    base = utility_pair(net, game, net.edges)
-    after = utility_pair(net, game, new_edges)
+    base = utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
+    after = utilities_from_edges(net.num_players, net.num_nodes, new_edges, game.alphas)
     deltas = {i: after.of(i) - base.of(i) for i in sorted(coalition)}
     return DeviationMove(
         coalition=tuple(sorted(coalition)),
@@ -166,7 +162,7 @@ def improving_coalition_move(
 ) -> Optional[frozenset[Edge]]:
     """First interconnect-maximal move that weakly improves every member
     and strictly improves at least one, or None."""
-    base = utility_pair(net, game, net.edges)
+    base = utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
     members = sorted(coalition)
     seen = set()
     for adjacency in coalition_adjacency_choices(net, coalition):
@@ -174,7 +170,8 @@ def improving_coalition_move(
         if new_edges == net.edges or new_edges in seen:
             continue
         seen.add(new_edges)
-        if improves_all(base, utility_pair(net, game, new_edges), members):
+        after = utilities_from_edges(net.num_players, net.num_nodes, new_edges, game.alphas)
+        if improves_all(base, after, members):
             return new_edges
     return None
 
@@ -307,9 +304,10 @@ def blocking_pair(net: Network, game: GameSpec) -> Optional[Edge]:
     return None
 
 
-def check_move_budget(net: Network, k: int, budget: int = DEFAULT_MOVE_BUDGET) -> None:
+def check_move_budget(net: Network, k: int) -> None:
     bound = move_count_bound(net, k)
-    if bound > budget:
+    if bound > DEFAULT_MOVE_BUDGET:
         raise BudgetExceededError(
-            f"coalition search needs ~{bound} moves for k={k}, over the budget of {budget}"
+            f"coalition search needs ~{bound} moves for k={k}, "
+            f"over the budget of {DEFAULT_MOVE_BUDGET}"
         )

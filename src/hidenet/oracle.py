@@ -2,12 +2,15 @@
 
 Every subset of candidate edges (all pairs outside E0) is a potential
 state; a subset is feasible when each added non-player edge has a player
-adjacent to both endpoints.  Degrees and q_i times each player's utility
-are precomputed for every subset as integer tables, so stability and
-welfare questions reduce to exact integer comparisons (alpha_i = p_i / q_i
-is cross-multiplied, never evaluated in floating point).  Inputs whose
-tables could leave int64 are rejected up front.  A coalition's deviations
-are scored for many masks at once, one numpy block per coalition.
+adjacent to both endpoints.  One ``FeasibleGraphSet`` holds the tables of
+an instance and answers every question about them: degrees and q_i times
+each player's utility are precomputed for every subset as integer tables,
+so stability and welfare questions reduce to exact integer comparisons
+(alpha_i = p_i / q_i is cross-multiplied, never evaluated in floating
+point).  Inputs whose tables could leave int64 are rejected up front.  A
+coalition's deviations are scored for many masks at once, one numpy block
+per coalition; blocking pairs are found by one integer test, for all masks
+or for one.
 
 The deviation semantics mirror ``moves.py`` but are re-implemented on the
 bitmask representation: the two routes share nothing except the model
@@ -19,9 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -52,6 +55,11 @@ def _require_int64(bound: int, what: str) -> None:
         )
 
 
+def _require_strength(k: int, num_players: int) -> None:
+    if not 1 <= k <= num_players:
+        raise ValidationError(f"strength k={k} outside 1..{num_players}")
+
+
 def edge_budget() -> int:
     raw = os.environ.get(_BUDGET_ENV)
     if not raw:
@@ -70,18 +78,17 @@ def candidate_edge_count(num_players: int, num_nonplayers: int) -> int:
     return n * (n - 1) // 2 + n * m + m * (m - 1) // 2
 
 
-class OracleSpace:
-    """Bitmask tables for one game instance."""
+class FeasibleGraphSet:
+    """All feasible states of one instance as bitmask tables, with their
+    stability classification and welfare.
 
-    def __init__(
-        self,
-        game: GameSpec,
-        num_nonplayers: int,
-        original_edges: Iterable = (),
-        budget: Optional[int] = None,
-    ):
+    ``masks`` lists the feasible masks ascending; the per-mask tables
+    (``deg``, ``qu``, ``feasible`` and the flags) range over all 2^C masks.
+    """
+
+    def __init__(self, game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()):
         n, m = game.num_players, num_nonplayers
-        limit = edge_budget() if budget is None else budget
+        limit = edge_budget()
         if candidate_edge_count(n, m) > limit:
             raise BudgetExceededError(
                 f"{candidate_edge_count(n, m)} candidate edges exceed the "
@@ -104,13 +111,12 @@ class OracleSpace:
         self.pos = {e: t for t, e in enumerate(self.cand)}
         self.np_pairs = [e for e in self.cand if e[0] > n and e[1] > n]
         self.size = 1 << len(self.cand)
-        masks = np.arange(self.size, dtype=np.int64)
-        self.masks = masks
+        every = np.arange(self.size, dtype=np.int64)
 
         # one row per node, so that every update below is contiguous
         deg = np.zeros((n + m + 1, self.size), dtype=np.int64)
         for t, (a, b) in enumerate(self.cand):
-            bit = (masks >> t) & 1
+            bit = (every >> t) & 1
             deg[a] += bit
             deg[b] += bit
         for a, b in self.e0:
@@ -120,7 +126,7 @@ class OracleSpace:
 
         S = np.zeros((n + 1, self.size), dtype=np.int64)
         for t, (a, b) in enumerate(self.cand):
-            bit = (masks >> t) & 1
+            bit = (every >> t) & 1
             if a <= n:
                 S[a] += bit * deg[b]
             if b <= n:
@@ -128,15 +134,15 @@ class OracleSpace:
 
         feasible = np.ones(self.size, dtype=bool)
         for j, l in self.np_pairs:
-            present = ((masks >> self.pos[(j, l)]) & 1).astype(bool)
+            present = ((every >> self.pos[(j, l)]) & 1).astype(bool)
             cover = np.zeros(self.size, dtype=bool)
             for i in range(1, n + 1):
-                bi = ((masks >> self.pos[edge(i, j)]) & 1).astype(bool)
-                bl = ((masks >> self.pos[edge(i, l)]) & 1).astype(bool)
+                bi = ((every >> self.pos[edge(i, j)]) & 1).astype(bool)
+                bl = ((every >> self.pos[edge(i, l)]) & 1).astype(bool)
                 cover |= bi & bl
             feasible &= ~present | cover
         self.feasible = feasible
-        self.feasible_masks = np.flatnonzero(feasible).astype(np.int64)
+        self.masks = np.flatnonzero(feasible).astype(np.int64)
 
         self.p = np.array([0] + [a.numerator for a in game.alphas], dtype=np.int64)
         self.q = np.array([1] + [a.denominator for a in game.alphas], dtype=np.int64)
@@ -146,6 +152,9 @@ class OracleSpace:
             self.qu[i] = self.q[i] * S[i] - self.p[i] * deg[i]
         self._nash_cache: dict[int, np.ndarray] = {}
         self._pairwise: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.masks)
 
     # -- mask/edge translation ------------------------------------------------
 
@@ -163,7 +172,7 @@ class OracleSpace:
             e for t, e in enumerate(self.cand) if mask >> t & 1
         ) | self.e0
 
-    def network_of(self, mask: int) -> Network:
+    def network(self, mask: int) -> Network:
         return build_network(self.n, self.m, self.edges_of(mask), self.e0)
 
     def utilities(self, mask: int) -> UtilityVector:
@@ -253,142 +262,102 @@ class OracleSpace:
             found[lo + rows_hit] = moves[rows_hit, hit[rows_hit].argmax(axis=1)]
         return found
 
+    def _blocking_pairs(
+        self, at: slice | list[int] = slice(None)
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield each player pair's bit, in lexicographic order, with whether
+        the pair blocks at the masks ``at`` selects (all by default): it is
+        missing, and both players weakly gain, one strictly.  The gains are
+        compared on integers, q_i * (deg_j + 1) against p_i."""
+        masks = np.arange(self.size, dtype=np.int64)[at]
+        deg = self.deg[:, at]
+        for i, j in itertools.combinations(range(1, self.n + 1), 2):
+            t = self.pos[edge(i, j)]
+            gi = self.q[i] * (deg[j] + 1) - self.p[i]
+            gj = self.q[j] * (deg[i] + 1) - self.p[j]
+            absent = ((masks >> t) & 1) == 0
+            yield t, absent & (gi >= 0) & (gj >= 0) & ((gi > 0) | (gj > 0))
+
     def nash_flags(self, k: int) -> np.ndarray:
-        """Boolean array over all masks: no improving coalition of size <= k."""
+        """Boolean array over all masks: feasible, and no improving coalition
+        of size <= k."""
+        _require_strength(k, self.n)
         if k in self._nash_cache:
             return self._nash_cache[k]
         flags = (self.nash_flags(k - 1) if k > 1 else self.feasible).copy()
-        if k <= self.n:
-            for coalition in itertools.combinations(range(1, self.n + 1), k):
-                live = np.flatnonzero(flags)
-                if len(live) == 0:
-                    break
-                flags[live[self.first_improving_moves(live, coalition) >= 0]] = False
+        for coalition in itertools.combinations(range(1, self.n + 1), k):
+            live = np.flatnonzero(flags)
+            if len(live) == 0:
+                break
+            flags[live[self.first_improving_moves(live, coalition) >= 0]] = False
         self._nash_cache[k] = flags
         return flags
 
     def pairwise_flags(self) -> np.ndarray:
-        """Boolean array: no missing player pair blocks (vectorised)."""
-        if self._pairwise is not None:
-            return self._pairwise
-        ok = np.ones(self.size, dtype=bool)
-        for i, j in itertools.combinations(range(1, self.n + 1), 2):
-            t = self.pos[edge(i, j)]
-            present = ((self.masks >> t) & 1).astype(bool)
-            gi = self.q[i] * (self.deg[j] + 1) - self.p[i]
-            gj = self.q[j] * (self.deg[i] + 1) - self.p[j]
-            blocking = ~present & (gi >= 0) & (gj >= 0) & ((gi > 0) | (gj > 0))
-            ok &= ~blocking
-        self._pairwise = ok
-        return ok
-
-    def pans_flags(self, k: int) -> np.ndarray:
-        return self.nash_flags(k) & self.pairwise_flags()
-
-
-@dataclass
-class FeasibleGraphSet:
-    """All feasible states of one instance, with stability classification."""
-
-    game: GameSpec
-    num_nonplayers: int
-    original_edges: frozenset[Edge]
-    space: OracleSpace = field(repr=False)
-
-    @property
-    def masks(self) -> np.ndarray:
-        return self.space.feasible_masks
-
-    def __len__(self) -> int:
-        return len(self.space.feasible_masks)
-
-    def network(self, mask: int) -> Network:
-        return self.space.network_of(mask)
-
-    def networks(self) -> list[Network]:
-        return [self.network(int(t)) for t in self.masks]
-
-    def utilities(self, mask: int) -> UtilityVector:
-        return self.space.utilities(mask)
+        """Boolean array over all masks: no missing player pair blocks."""
+        if self._pairwise is None:
+            self._pairwise = np.ones(self.size, dtype=bool)
+            for _, blocking in self._blocking_pairs():
+                self._pairwise &= ~blocking
+        return self._pairwise
 
     def nash_masks(self, k: int = 1) -> list[int]:
-        flags = self.space.nash_flags(k)
-        return [int(t) for t in np.flatnonzero(flags)]
+        return [int(t) for t in np.flatnonzero(self.nash_flags(k))]
 
     def pans_masks(self, k: int = 1) -> list[int]:
-        flags = self.space.pans_flags(k)
-        return [int(t) for t in np.flatnonzero(flags)]
+        return [int(t) for t in np.flatnonzero(self.nash_flags(k) & self.pairwise_flags())]
 
-    def pans_networks(self, k: int = 1) -> list[Network]:
-        return [self.network(t) for t in self.pans_masks(k)]
+    # -- welfare --------------------------------------------------------------
+
+    def max_welfare(self) -> tuple[Fraction, Network]:
+        """Exact maximum social welfare over the feasible states, with
+        witness, summed as L * welfare = sum_i (L / q_i) * qu_i with L the
+        lcm of the q_i."""
+        alphas = self.game.alphas
+        nodes = self.n + self.m
+        L = math.lcm(*(a.denominator for a in alphas))
+        _require_int64(
+            sum(L * nodes**2 + L // a.denominator * a.numerator * nodes for a in alphas),
+            "the lcm-scaled welfare bound",
+        )
+        swL = np.zeros(len(self.masks), dtype=np.int64)
+        for i, a in enumerate(alphas, start=1):
+            swL += L // a.denominator * self.qu[i, self.masks]
+        best = int(np.argmax(swL))
+        return Fraction(int(swL[best]), L), self.network(int(self.masks[best]))
 
 
 def enumerate_feasible_graphs(
-    game: GameSpec,
-    num_nonplayers: int,
-    original_edges: Iterable = (),
-    budget: Optional[int] = None,
+    game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()
 ) -> FeasibleGraphSet:
-    space = OracleSpace(game, num_nonplayers, original_edges, budget)
-    return FeasibleGraphSet(game, num_nonplayers, space.e0, space)
+    return FeasibleGraphSet(game, num_nonplayers, original_edges)
 
 
-def exhaustive_stability(
-    net: Network, game: GameSpec, k: int, budget: Optional[int] = None
-) -> StabilityVerdict:
+def exhaustive_stability(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """Literal deviation search on the mask tables, with witness."""
-    if not 1 <= k <= net.num_players:
-        raise ValidationError(f"strength k={k} outside 1..{net.num_players}")
-    space = OracleSpace(game, net.num_nonplayers, net.original_edges, budget)
-    mask = space.mask_of(net.edges)
+    _require_strength(k, net.num_players)
+    fgs = FeasibleGraphSet(game, net.num_nonplayers, net.original_edges)
+    mask = fgs.mask_of(net.edges)
     label = "PANE" if k == 1 else "k-PANE"
     one = np.array([mask], dtype=np.int64)
-    for size in range(1, min(k, net.num_players) + 1):
+    for size in range(1, k + 1):
         for coalition in itertools.combinations(range(1, net.num_players + 1), size):
-            hit = int(space.first_improving_moves(one, coalition)[0])
+            hit = int(fgs.first_improving_moves(one, coalition)[0])
             if hit >= 0:
-                move = make_move(net, game, list(coalition), space.edges_of(hit))
+                move = make_move(net, game, list(coalition), fgs.edges_of(hit))
                 return StabilityVerdict(False, label, k, move)
-    if not bool(space.pairwise_flags()[mask]):
-        for i, j in itertools.combinations(range(1, net.num_players + 1), 2):
-            t = space.pos[edge(i, j)]
-            if mask >> t & 1:
-                continue
-            gi = Fraction(int(space.deg[j, mask]) + 1) - game.alpha(i)
-            gj = Fraction(int(space.deg[i, mask]) + 1) - game.alpha(j)
-            if gi >= 0 and gj >= 0 and (gi > 0 or gj > 0):
-                move = make_move(net, game, [i, j], frozenset(net.edges | {edge(i, j)}))
-                return StabilityVerdict(False, label, k, move)
-        raise AssertionError("pairwise flag disagreed with pair scan")
+    pair = next((t for t, blocking in fgs._blocking_pairs([mask]) if blocking[0]), None)
+    if pair is not None:
+        move = make_move(net, game, list(fgs.cand[pair]), fgs.edges_of(mask | 1 << pair))
+        return StabilityVerdict(False, label, k, move)
     return StabilityVerdict(True, label, k)
 
 
 def max_social_welfare(
-    game: GameSpec,
-    num_nonplayers: int,
-    original_edges: Iterable = (),
-    budget: Optional[int] = None,
+    game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()
 ) -> tuple[Fraction, Network]:
     """Exact maximum social welfare over all feasible states, with witness."""
-    return _max_welfare(OracleSpace(game, num_nonplayers, original_edges, budget))
-
-
-def _max_welfare(space: OracleSpace) -> tuple[Fraction, Network]:
-    """Maximum welfare over ``space``'s feasible states, summed as
-    L * welfare = sum_i (L / q_i) * qu_i with L the lcm of the q_i."""
-    alphas = space.game.alphas
-    nodes = space.n + space.m
-    L = math.lcm(*(a.denominator for a in alphas))
-    _require_int64(
-        sum(L * nodes**2 + L // a.denominator * a.numerator * nodes for a in alphas),
-        "the lcm-scaled welfare bound",
-    )
-    swL = np.zeros(len(space.feasible_masks), dtype=np.int64)
-    for i, a in enumerate(alphas, start=1):
-        swL += L // a.denominator * space.qu[i, space.feasible_masks]
-    best = int(np.argmax(swL))
-    winner = int(space.feasible_masks[best])
-    return Fraction(int(swL[best]), L), space.network_of(winner)
+    return FeasibleGraphSet(game, num_nonplayers, original_edges).max_welfare()
 
 
 @dataclass
@@ -417,16 +386,14 @@ def cross_validate(
     num_nonplayers: int,
     original_edges: Iterable = (),
     max_k: int = 1,
-    check_algorithms: bool = True,
-    budget: Optional[int] = None,
 ) -> CrossValidationReport:
     """Compare the structural checkers and fixpoint algorithms against the
     oracle on every feasible graph of the instance."""
     from .lattice import bound_failures, greatest_pans, least_pans
     from .stability import is_k_strong, is_pane
 
-    fgs = enumerate_feasible_graphs(game, num_nonplayers, original_edges, budget)
-    space = fgs.space
+    _require_strength(max_k, game.num_players)
+    fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
     disagreements: list[Disagreement] = []
     failures: list[str] = []
     pans_counts = {}
@@ -452,17 +419,16 @@ def cross_validate(
                     Disagreement("is_k_strong", k, tuple(sorted(net.edges)), fast_k, truth_k)
                 )
 
-    if check_algorithms:
-        pans_edge_sets = [frozenset(space.edges_of(t)) for t in sorted(pans1)]
-        least = least_pans(game, num_nonplayers, original_edges)
-        greatest = greatest_pans(game, num_nonplayers, original_edges)
-        if pans_edge_sets:
-            failures += bound_failures(game, num_nonplayers, space.e0, pans_edge_sets)
-            if least.edges != min(pans_edge_sets, key=len):
-                failures.append("least_pans differs from the oracle minimum")
-            if greatest.edges != max(pans_edge_sets, key=len):
-                failures.append("greatest_pans differs from the oracle maximum")
-        else:
-            failures.append("oracle found no PANS at all (lattice should be non-empty)")
+    pans_edge_sets = [fgs.edges_of(t) for t in sorted(pans1)]
+    least = least_pans(game, num_nonplayers, original_edges)
+    greatest = greatest_pans(game, num_nonplayers, original_edges)
+    if pans_edge_sets:
+        failures += bound_failures(game, num_nonplayers, fgs.e0, pans_edge_sets)
+        if least.edges != min(pans_edge_sets, key=len):
+            failures.append("least_pans differs from the oracle minimum")
+        if greatest.edges != max(pans_edge_sets, key=len):
+            failures.append("greatest_pans differs from the oracle maximum")
+    else:
+        failures.append("oracle found no PANS at all (lattice should be non-empty)")
 
     return CrossValidationReport(len(fgs), pans_counts, disagreements, failures)

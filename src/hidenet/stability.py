@@ -17,7 +17,6 @@ from typing import Optional
 from .errors import ValidationError
 from .model import Edge, GameSpec, Network, edge
 from .moves import (
-    DEFAULT_MOVE_BUDGET,
     DeviationMove,
     blocking_pair,
     bundles_can_pay,
@@ -152,14 +151,12 @@ def _deviation_search(
     return None
 
 
-def is_k_nash(
-    net: Network, game: GameSpec, k: int, move_budget: int = DEFAULT_MOVE_BUDGET
-) -> StabilityVerdict:
+def is_k_nash(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """k-strong Nash stability by exhaustive coalition-deviation search."""
     _check_game(net, game)
     if not 1 <= k <= net.num_players:
         raise ValidationError(f"strength k={k} outside 1..{net.num_players}")
-    check_move_budget(net, k, move_budget)
+    check_move_budget(net, k)
     label = "NE" if k == 1 else "k-NE"
     found = _deviation_search(net, game, k)
     if found is not None:
@@ -172,9 +169,7 @@ def is_nash_stable(net: Network, game: GameSpec) -> StabilityVerdict:
     return is_k_nash(net, game, 1)
 
 
-def is_k_strong(
-    net: Network, game: GameSpec, k: int, move_budget: int = DEFAULT_MOVE_BUDGET
-) -> StabilityVerdict:
+def is_k_strong(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """Pairwise k-strong Nash stability (k-PANS membership) by search.
 
     For k >= 2 a blocking pair is itself a two-member coalition move, so
@@ -182,7 +177,7 @@ def is_k_strong(
     is asserted rather than trusted.
     """
     label = "PANE" if k == 1 else "k-PANE"
-    nash = is_k_nash(net, game, k, move_budget)
+    nash = is_k_nash(net, game, k)
     pair = blocking_pair(net, game)
     if not nash.stable:
         return StabilityVerdict(False, label, k, nash.witness)

@@ -196,7 +196,7 @@ def test_criterion_07_structural_law_suites():
         fgs = enumerate_feasible_graphs(game, m, e0)
         # utility monotonicity with equality characterisation over NS pairs
         ns = fgs.nash_masks(1)
-        sets = {mask: fgs.space.edges_of(mask) for mask in ns}
+        sets = {mask: fgs.edges_of(mask) for mask in ns}
         pairs = [(a, b) for a, b in itertools.permutations(ns, 2) if sets[b] < sets[a]]
         for a, b in rng.sample(pairs, min(len(pairs), 120)):
             rep = monotonicity_check(fgs.network(a), fgs.network(b), game)
@@ -217,7 +217,7 @@ def test_criterion_07_structural_law_suites():
         nodes = n + m
         sample = rng.sample(sorted(int(t) for t in fgs.masks), min(25, len(fgs)))
         for mask in sample:
-            base = fgs.space.edges_of(mask)
+            base = fgs.edges_of(mask)
             incident = sorted(e for e in base if e[0] <= n or e[1] <= n)
             for _ in range(10):
                 if not incident:
@@ -309,7 +309,7 @@ def test_criterion_09_lattice_axioms(fig2_game, fig3_game, example5_game, exampl
         stronger = fgs.pans_masks(k + 1)
         for a, b in itertools.combinations(stronger, 2):
             joined = join_pans(fig2_game, fgs.network(a), fgs.network(b))
-            assert fgs.space.mask_of(joined.edges) in set(fgs.pans_masks(k + 1))
+            assert fgs.mask_of(joined.edges) in set(fgs.pans_masks(k + 1))
     report(9, "join/meet are LUB/GLB on every fixture; joins agree across strengths")
 
 

@@ -1,9 +1,10 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
-from hidenet.cli import run_command
+from hidenet.cli import main, run_command
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -205,3 +206,25 @@ def test_bad_oracle_budget_exits_2(monkeypatch, value):
     code, out = run("enumerate", "--game", fx("fig2.game"))
     assert code == 2
     assert "HIDENET_ORACLE_BUDGET" in out and "non-negative integer" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["efficiency", "--k", "0"],
+        ["efficiency", "--k", "-1"],
+        ["enumerate", "--k", "-1"],
+        ["efficiency", "--k", "5000"],
+        ["enumerate", "--k", "5000"],
+        ["oracle-check", "--max-k", "0"],
+        ["oracle-check", "--max-k", "-3"],
+    ],
+)
+def test_strength_outside_1_to_n_exits_2(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "argv", ["hidenet", *argv, "--game", fx("fig2.game")])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error:") and "outside 1..4" in err
+    assert "Traceback" not in err

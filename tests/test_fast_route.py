@@ -113,7 +113,7 @@ def test_sole_cover_skip_against_oracle():
         game = GameSpec([F(rng.randint(0, (n + m) * den), den) for _ in range(n)])
         fgs = enumerate_feasible_graphs(game, m)
         stable = set(fgs.pans_masks(1))
-        stable_sets = [fgs.space.edges_of(t) for t in stable]
+        stable_sets = [fgs.edges_of(t) for t in stable]
         for mask in fgs.masks:
             net = fgs.network(int(mask))
             if not any(sole_covered_pairs(net, i) for i in net.players):

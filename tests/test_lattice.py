@@ -11,6 +11,7 @@ from hidenet import (
     enumerate_feasible_graphs,
     enumerate_lattice,
     greatest_pans,
+    is_k_strong,
     join_pans,
     least_pans,
     meet_pans,
@@ -35,8 +36,8 @@ def test_greatest_examples(fig2_game, fig3_game, example5_game):
 
 
 def test_greatest_is_strong(fig2_game, example5_game):
-    greatest_pans(fig2_game, 0, verify_strong=True)
-    greatest_pans(example5_game, 0, verify_strong=True)
+    for game in (fig2_game, example5_game):
+        assert is_k_strong(greatest_pans(game, 0), game, game.num_players).stable
 
 
 def test_join_examples(fig2_game):
@@ -122,7 +123,7 @@ def test_meet_is_the_glb_on_seeded_instances():
     for _ in range(8):
         game = GameSpec([F(rng.randint(5, 7), 2) for _ in range(3)])
         fgs = enumerate_feasible_graphs(game, 2)
-        nets = fgs.pans_networks(1)
+        nets = [fgs.network(t) for t in fgs.pans_masks(1)]
         sets = [n.edges for n in nets]
         for a, b in itertools.combinations(nets, 2):
             glb = max((s for s in sets if s <= a.edges & b.edges), key=len)

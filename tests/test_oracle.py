@@ -60,13 +60,14 @@ def test_feasibility_filter_matches_direct_count():
     assert len(fgs) == count == 46
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     game = GameSpec([F(1)] * 5)
     assert candidate_edge_count(5, 3) == 28
     with pytest.raises(BudgetExceededError):
         enumerate_feasible_graphs(game, 3)
+    monkeypatch.setenv("HIDENET_ORACLE_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
-        enumerate_feasible_graphs(game, 2, budget=10)
+        enumerate_feasible_graphs(game, 2)
 
 
 def test_budget_env_override(monkeypatch, fig2_game):
@@ -105,7 +106,7 @@ def test_max_social_welfare_agrees_with_utilities(fig2_game):
 def test_utilities_table_matches_model(example1):
     net, game = example1
     fgs = enumerate_feasible_graphs(game, 3)
-    mask = fgs.space.mask_of(net.edges)
+    mask = fgs.mask_of(net.edges)
     assert fgs.utilities(mask) == utility(net, game)
 
 
@@ -116,14 +117,14 @@ def test_cross_validate_fig2(fig2_game):
 
 
 def test_cross_validate_fig3_strata(fig3_game, fig3_graphs):
-    report = cross_validate(fig3_game, 0, max_k=1, check_algorithms=True)
+    report = cross_validate(fig3_game, 0, max_k=1)
     assert report.clean
     assert report.pans_counts[1] == report.pans_counts[2] == 6
     assert report.pans_counts[3] == 2 and report.pans_counts[5] == 1
     fgs = enumerate_feasible_graphs(fig3_game, 0)
     g1, g2, g3 = fig3_graphs
     masks = {k: set(fgs.pans_masks(k)) for k in (1, 2, 3, 5)}
-    m1, m2, m3 = (fgs.space.mask_of(g.edges) for g in fig3_graphs)
+    m1, m2, m3 = (fgs.mask_of(g.edges) for g in fig3_graphs)
     assert {m1, m2, m3} <= masks[1] and {m1, m2, m3} <= masks[2]
     assert m1 in masks[3] and m2 not in masks[3] and m3 in masks[3]
     assert masks[5] == {m3}
@@ -159,13 +160,13 @@ def test_witness_replay_through_model(fig3_game, fig3_graphs):
 
 def test_efficiency_and_strength_build_one_space_each(monkeypatch, fig2_game):
     built = []
-    init = oracle.OracleSpace.__init__
+    init = oracle.FeasibleGraphSet.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(oracle.OracleSpace, "__init__", counting_init)
+    monkeypatch.setattr(oracle.FeasibleGraphSet, "__init__", counting_init)
     assert efficiency(fig2_game, 0).max_sw == 18
     assert strength_equivalences(fig2_game, 0).all_hold
     assert len(built) == 2
@@ -286,9 +287,9 @@ def test_exhaustive_stability_agrees_and_witnesses_replay():
 
 
 def test_nash_flags_do_not_depend_on_the_block_size(monkeypatch):
-    spaces = [enumerate_feasible_graphs(g, m, e0).space for g, m, e0 in _kernel_instances()]
+    spaces = [enumerate_feasible_graphs(g, m, e0) for g, m, e0 in _kernel_instances()]
     whole = [[space.nash_flags(k).copy() for k in range(1, space.n + 1)] for space in spaces]
-    witnesses = [space.first_improving_moves(space.feasible_masks, (1,)) for space in spaces]
+    witnesses = [space.first_improving_moves(space.masks, (1,)) for space in spaces]
     # 8 moves a block: every coalition's masks span several blocks, down to
     # one mask a block for coalitions with more than 8 moves
     monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 8)
@@ -296,4 +297,4 @@ def test_nash_flags_do_not_depend_on_the_block_size(monkeypatch):
         space._nash_cache.clear()
         for k in range(1, space.n + 1):
             assert np.array_equal(space.nash_flags(k), flags[k - 1])
-        assert np.array_equal(space.first_improving_moves(space.feasible_masks, (1,)), first)
+        assert np.array_equal(space.first_improving_moves(space.masks, (1,)), first)

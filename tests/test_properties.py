@@ -175,7 +175,7 @@ def test_utility_monotone_along_stable_inclusions():
     for game, m, e0 in instances:
         fgs = enumerate_feasible_graphs(game, m, e0)
         ns = [int(t) for t in fgs.nash_masks(1)]
-        sets = {mask: fgs.space.edges_of(mask) for mask in ns}
+        sets = {mask: fgs.edges_of(mask) for mask in ns}
         for a, b in itertools.permutations(ns, 2):
             if sets[b] < sets[a]:
                 report = monotonicity_check(fgs.network(a), fgs.network(b), game)
@@ -214,7 +214,7 @@ def test_join_stays_in_stronger_lattices():
         nets = [fgs.network(t) for t in masks]
         for a, b in itertools.combinations(nets, 2):
             joined = join_pans(game, a, b)
-            mask = fgs.space.mask_of(joined.edges)
+            mask = fgs.mask_of(joined.edges)
             assert mask in set(fgs.pans_masks(k))
 
 
