@@ -26,11 +26,12 @@ from .model import (
     build_network,
     edge,
     edge_set,
+    require_strength,
     utility,
 )
 from .moves import blocking_pair
 from .oracle import FeasibleGraphSet
-from .stability import improving_set_addition, is_nash_stable
+from .stability import first_violation, is_nash_stable, is_pane
 
 Ratio = Union[Fraction, float]
 
@@ -210,14 +211,12 @@ def check_equal_alpha(net: Network, game: GameSpec) -> tuple[bool, EqualAlphaStr
         shape_ok = False
     elif alpha < m + 1 and D == frozenset(net.nonplayers) and m > 0 and C != frozenset(net.players):
         shape_ok = False
-    elif blocking_pair(net, game) is not None:
+    elif first_violation(net, game, ("missing-player-pair", "nonplayer-set-addition")):
         # a clique member indifferent to an outsider still blocks when the
-        # outsider strictly gains; possible only at tie values of alpha
-        shape_ok = False
-    elif any(improving_set_addition(net, game, i) is not None for i in net.players):
-        # interconnecting a fresh target with the existing attachments also
-        # raises their degrees, so a set-addition can pay at a tie even
-        # when the target's own degree only reaches alpha
+        # outsider strictly gains; and interconnecting a fresh target with
+        # the existing attachments also raises their degrees, so a
+        # set-addition can pay even when the target's own degree only
+        # reaches alpha.  Both are possible only at tie values of alpha
         shape_ok = False
     if shape_ok:
         return True, structure
@@ -228,8 +227,6 @@ def check_equal_alpha(net: Network, game: GameSpec) -> tuple[bool, EqualAlphaStr
     )
     if not slack_held:
         return False, structure
-    from .stability import is_pane
-
     return bool(is_pane(net, game)), structure
 
 
@@ -272,6 +269,7 @@ def equal_alpha_efficiency(
     attainable at all (at alpha = n + m - 1 the optimum itself is 0 and
     the 0/0 convention gives 1).  Only k = 1 is characterised there.
     """
+    require_strength(k, game.num_players)
     alpha = _equal_alpha(game)
     n, m = game.num_players, num_nonplayers
     max_sw = equal_alpha_max_sw(n, m, alpha)
@@ -317,6 +315,7 @@ def check_one_distinct(net: Network, game: GameSpec, k: int = 1) -> bool:
     or more remove that freedom: at the threshold only the complete graph
     stays stable.
     """
+    require_strength(k, game.num_players)
     for i in range(2, game.num_players + 1):
         if game.alpha(i) >= 1:
             raise ValidationError(f"player {i} has alpha >= 1; characterisation inapplicable")
@@ -354,6 +353,7 @@ def one_distinct_efficiency(
     attachment up to the complete graph, and coalition strength two or
     more collapses it to the complete graph.
     """
+    require_strength(k, game.num_players)
     alpha = _one_distinct_common(game)
     a1 = game.alpha(1)
     n, m = game.num_players, num_nonplayers

@@ -17,7 +17,7 @@ import sys
 from . import analytics, detection, lattice, reports
 from .errors import BudgetExceededError, HidenetError, ValidationError
 from .gamefile import parse_game_file, parse_graph_file, parse_plain_graph
-from .model import GameSpec, Network, as_fraction, utility
+from .model import GameSpec, Network, as_fraction, require_strength, utility
 from .oracle import cross_validate
 from .stability import is_k_strong
 
@@ -73,6 +73,7 @@ def _load_graphs(args, base: Network, want: int) -> list[Network]:
 
 
 def _characterize(net: Network, game: GameSpec, args, m: int, e0) -> dict:
+    require_strength(args.k, game.num_players)  # the general class never reads k
     payload: dict = {
         "greatest": reports.closed_form_dict(analytics.greatest_closed_form(game, m, e0)),
         "least": reports.closed_form_dict(analytics.least_closed_form(game, m, e0)),
@@ -118,8 +119,11 @@ def run_command(argv) -> tuple[int, str]:
         return 2, f"error: {exc}\n"
     rendered = reports.to_json(payload) if args.format == "json" else reports.to_text(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            return 2, f"error: {exc}\n"
         return 0, ""
     return 0, rendered
 

@@ -68,6 +68,8 @@ def detect_infiltration(
         raise ValidationError(f"beta must lie strictly between 2 and 3, got {beta}")
     if slack < 0:
         raise ValidationError("slack must be non-negative")
+    if num_nodes < 1:
+        raise ValidationError(f"a plain graph needs at least one node, got {num_nodes}")
     es = edge_set(edges)
     for a, b in es:
         if not 1 <= a <= num_nodes or not 1 <= b <= num_nodes:

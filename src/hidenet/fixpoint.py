@@ -1,18 +1,21 @@
 """Constructive fixpoint algorithms over network states.
 
-``min_including_pans`` grows a graph to the smallest pairwise Nash stable
-superset by repeatedly interconnecting non-player neighbours, applying
-inclusion-minimal profitable set-additions, and adding blocking player
-pairs.  ``max_included_pans`` shrinks a graph to the largest stable subset
-by profitable deletions.
-``min_including_k_pans`` generalises the growth process to coalition
-additions of size up to k.
+Both fixpoints are one sweep over :func:`stability.is_pane`'s conditions:
+for each condition and each player in turn, the sweep applies the move
+that condition's finder reports (the witness ``is_pane`` would report) for
+as long as it reports one, and repeats until a whole sweep changes
+nothing.  ``min_including_pans`` sweeps the additions (interconnection,
+inclusion-minimal profitable set-additions, blocking player pairs) and
+grows a graph to the smallest pairwise Nash stable superset;
+``max_included_pans`` sweeps the deletions (single drops to players, then
+to non-players, then deletion bundles) and shrinks a graph to the largest
+stable subset.  ``min_including_k_pans`` generalises the growth process
+to coalition additions of size up to k.
 
-Entry conditions are enforced rather than assumed: growth requires that no
-player can profit by pure deletion, shrinking that no profitable
-unilateral or bilateral addition exists.  Both checks raise
-:class:`PreconditionError` when violated, since the fixpoints are only
-canonical under them.
+Entry conditions are enforced rather than assumed: growth requires that
+no deletion condition is broken, shrinking that no addition condition is.
+Both checks raise :class:`PreconditionError` naming the condition and the
+player, since the fixpoints are only canonical under them.
 """
 
 from __future__ import annotations
@@ -22,25 +25,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .model import Edge, GameSpec, Network, edge, sole_covered_pairs, utilities_from_edges
-from .moves import (
-    blocking_pair,
-    blocks,
-    bundles_can_pay,
-    closure,
-    has_improving_pure_deletion,
-    improves_all,
-    improving_pure_deletion,
-    player_incident_edges,
-    profitable_drops,
-    pure_deletion,
-)
-from .stability import improving_set_addition, missing_interconnection
+from .model import Edge, GameSpec, Network, edge, utilities_from_edges
+from .moves import closure, improves_all, player_incident_edges
+from .stability import ADDITIONS, CONDITIONS, DELETIONS, first_violation
 
 
 @dataclass
 class OpCounter:
-    """Counts elementary steps so runtime growth can be budget-tested."""
+    """Counts elementary steps so runtime growth can be budget-tested: one
+    per condition finder call and per coalition move tried."""
 
     ops: int = 0
 
@@ -60,39 +53,42 @@ def _player_order(net: Network, order) -> list[int]:
     return players
 
 
-def _interconnect_pass(net: Network, players, counter) -> Network:
-    # new pairs join non-players only, so one pass reaches the fixpoint
-    new_edges = set(net.edges)
-    for i in players:
-        mine = net.nonplayer_neighbours(i)
-        _tick(counter, len(mine) * (len(mine) - 1) // 2)
-        new_edges.update(itertools.combinations(mine, 2))
-    if len(new_edges) == len(net.edges):
-        return net
-    return net.with_edges_unchecked(new_edges)
+def _sweep(net: Network, game: GameSpec, names, players, counter) -> Network:
+    """Apply the moves of the named conditions, player by player, until a
+    whole sweep changes nothing.  Intermediate states are not validated."""
+    current = net
+    changed = True
+    while changed:
+        changed = False
+        for name in names:
+            finder = CONDITIONS[name]
+            for i in players:
+                while True:
+                    _tick(counter)
+                    found = finder(current, game, i)
+                    if found is None:
+                        break
+                    current, changed = current.with_edges_unchecked(found[1]), True
+    return current
 
 
-def require_no_profitable_deletion(net: Network, game: GameSpec) -> None:
-    offender = has_improving_pure_deletion(net, game)
-    if offender is not None:
+def _require_none(net: Network, game: GameSpec, names, kind: str, fixpoint: str) -> None:
+    found = first_violation(net, game, names)
+    if found is not None:
+        condition, coalition, _ = found
+        who = " with player ".join(map(str, coalition))
         raise PreconditionError(
-            f"player {offender} has a profitable deletion; the minimal "
-            "including stable graph is not defined from here"
+            f"player {who} has a profitable {kind} ({condition}); the {fixpoint} "
+            "stable graph is not defined from here"
         )
 
 
+def require_no_profitable_deletion(net: Network, game: GameSpec) -> None:
+    _require_none(net, game, DELETIONS, "deletion", "minimal including")
+
+
 def require_no_profitable_addition(net: Network, game: GameSpec) -> None:
-    for i in net.players:
-        missing = missing_interconnection(net, i)
-        if missing is not None:
-            raise PreconditionError(
-                f"player {i} profits from interconnecting {missing[0]} and {missing[1]}"
-            )
-        if improving_set_addition(net, game, i) is not None:
-            raise PreconditionError(f"player {i} has a profitable set-addition")
-    pair = blocking_pair(net, game)
-    if pair is not None:
-        raise PreconditionError(f"player pair {pair} profits from connecting")
+    _require_none(net, game, ADDITIONS, "addition", "maximal included")
 
 
 def min_including_pans(
@@ -103,26 +99,7 @@ def min_including_pans(
 ) -> Network:
     """Smallest pairwise Nash stable graph containing ``net``."""
     require_no_profitable_deletion(net, game)
-    players = _player_order(net, _order)
-    current = net
-    changed = True
-    while changed:
-        changed = False
-        grown = _interconnect_pass(current, players, counter)
-        if grown is not current:
-            current, changed = grown, True
-        for i in players:
-            while True:
-                found = improving_set_addition(current, game, i)
-                _tick(counter, 1 << current.num_nonplayers)
-                if found is None:
-                    break
-                current, changed = current.with_edges_unchecked(found[1]), True
-        for i, j in itertools.combinations(sorted(players), 2):
-            _tick(counter)
-            e = edge(i, j)
-            if e not in current.edges and blocks(current, game, i, j):
-                current, changed = current.with_edges_unchecked(current.edges | {e}), True
+    current = _sweep(net, game, ADDITIONS, _player_order(net, _order), counter)
     return net if current is net else net.with_edges(current.edges)
 
 
@@ -135,48 +112,18 @@ def max_included_pans(
 ) -> Network:
     """Largest pairwise Nash stable graph contained in ``net``.
 
-    The per-edge deletion thresholds mirror the exact drop marginals:
-    deleting a player-player edge (i, j) gains alpha_i - deg(j); deleting a
-    player-to-non-player edge additionally forfeits every pair only i was
-    holding together.  A final guard removes profitable deletion *bundles*,
-    which can exist with no profitable single drop when a player alone
-    covers pairs among her neighbours (the collateral is shared).  It skips
-    every other player, whose drop marginals add up (complementarity), and
-    solves one small minimum cut, not 2^deg(i) subsets, for the rest.
-    Gains are integer scores of the mover alone; only the result is validated.
+    The moves are ``is_pane``'s deletion witnesses; its docstring gives
+    why the bundle search runs only for players who alone cover an added
+    non-player pair.  Gains are integer scores of the mover alone; only the
+    result is validated.
 
     ``check_entry=False`` skips the entry condition, for a start state that
     is the intersection of two stable graphs (see ``lattice.meet_pans``).
     """
     if check_entry:
         require_no_profitable_addition(net, game)
-    players = _player_order(net, _order)
-    current = net
-    while True:
-        # profitable single drops, players then non-players, to a fixpoint
-        deleting = True
-        while deleting:
-            deleting = False
-            for to_players in (True, False):
-                for i in players:
-                    _tick(counter, current.degree(i))
-                    drops = profitable_drops(current, game, i, to_players)
-                    if drops:
-                        current = current.with_edges_unchecked(
-                            pure_deletion(current, i, drops)
-                        )
-                        deleting = True
-        # bundle guard: shared collateral can hide behind single-drop tests
-        for i in players:
-            if not bundles_can_pay(current, i):
-                continue
-            _tick(counter, current.degree(i) + len(sole_covered_pairs(current, i)))
-            new_edges = improving_pure_deletion(current, game, i)
-            if new_edges is not None:
-                current = current.with_edges_unchecked(new_edges)
-                break
-        else:
-            return net if current is net else net.with_edges(current.edges)
+    current = _sweep(net, game, DELETIONS, _player_order(net, _order), counter)
+    return net if current is net else net.with_edges(current.edges)
 
 
 def _subsets(pool, smallest: int = 0) -> list[tuple]:
@@ -239,16 +186,10 @@ def min_including_k_pans(
         return min_including_pans(net, game, counter, _order)
     require_no_profitable_deletion(net, game)
     players = _player_order(net, _order)
-    current = net
-    changed = True
-    while changed:
-        changed = False
-        grown = _interconnect_pass(current, players, counter)
-        if grown is not current:
-            current, changed = grown, True
-        while True:
-            found = _coalition_addition(current, game, k, counter)
-            if found is None:
-                break
-            current, changed = current.with_edges_unchecked(found), True
+    # coalition moves only add edges and interconnect what their members
+    # cover, so one interconnection sweep up front keeps every player
+    # interconnected
+    current = _sweep(net, game, ("uninterconnected-neighbours",), players, counter)
+    while (found := _coalition_addition(current, game, k, counter)) is not None:
+        current = current.with_edges_unchecked(found)
     return net if current is net else net.with_edges(current.edges)

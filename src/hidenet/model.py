@@ -49,6 +49,12 @@ def as_fraction(value) -> Fraction:
         raise ValidationError(f"bad rational {value!r}: {exc}") from None
 
 
+def require_strength(k: int, num_players: int) -> None:
+    """A coalition strength k must lie in 1..n."""
+    if not 1 <= k <= num_players:
+        raise ValidationError(f"strength k={k} outside 1..{num_players}")
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """Per-player visibility-aversion coefficients alpha_1..alpha_n."""
@@ -70,10 +76,13 @@ class GameSpec:
     def alpha(self, i: int) -> Fraction:
         return self.alphas[i - 1]
 
+    @cached_property
+    def _ratios(self) -> tuple[tuple[int, int], ...]:
+        return tuple((a.numerator, a.denominator) for a in self.alphas)
+
     def ratio(self, i: int) -> tuple[int, int]:
         """alpha_i as (p_i, q_i), for scores compared on integers."""
-        a = self.alphas[i - 1]
-        return a.numerator, a.denominator
+        return self._ratios[i - 1]
 
 
 @dataclass(frozen=True)

@@ -195,14 +195,15 @@ def drop_score(net: Network, game: GameSpec, i: int, j: int) -> int:
 def profitable_drops(net: Network, game: GameSpec, i: int, players: bool) -> list[int]:
     """i's player (or non-player) neighbours whose single drop pays, ascending.
 
-    A drop leaves i's other drop scores as they were (a forfeited pair
-    takes a degree and a sole cover at once), so all can go together.
+    A drop never lowers i's other drop scores (a forfeited pair (j, l)
+    takes one from deg(l) and one from l's sole covers at once), so all
+    can go together; afterwards more of them may pay.
     """
-    return [
+    return sorted(
         j
-        for j in sorted(net.neighbours(i))
+        for j in net.neighbours(i)
         if net.is_player(j) == players and drop_score(net, game, i, j) > 0
-    ]
+    )
 
 
 def pure_deletion(net: Network, i: int, dropped) -> frozenset[Edge]:
@@ -273,16 +274,6 @@ def _smallest_min_cut_side(
             cap[v][u] = cap[v].get(u, 0) + flow
 
 
-def has_improving_pure_deletion(net: Network, game: GameSpec) -> Optional[int]:
-    """Player with a strictly-improving pure-deletion move, if any."""
-    for i in net.players:
-        if any(drop_score(net, game, i, j) > 0 for j in net.neighbours(i)):
-            return i
-        if bundles_can_pay(net, i) and improving_pure_deletion(net, game, i) is not None:
-            return i
-    return None
-
-
 def link_score(net: Network, game: GameSpec, i: int, j: int) -> int:
     """q_i times i's gain from a new edge to player j: deg(j) + 1 - alpha_i."""
     p, q = game.ratio(i)
@@ -295,11 +286,20 @@ def blocks(net: Network, game: GameSpec, i: int, j: int) -> bool:
     return gi >= 0 and gj >= 0 and (gi > 0 or gj > 0)
 
 
+def blocking_partner(net: Network, game: GameSpec, i: int) -> Optional[int]:
+    """First player j > i whose missing edge to i blocks, if any."""
+    for j in range(i + 1, net.num_players + 1):
+        if j not in net.neighbours(i) and blocks(net, game, i, j):
+            return j
+    return None
+
+
 def blocking_pair(net: Network, game: GameSpec) -> Optional[Edge]:
     """Missing player pair both sides weakly want, one strictly (first in
     lexicographic order)."""
-    for i, j in itertools.combinations(net.players, 2):
-        if edge(i, j) not in net.edges and blocks(net, game, i, j):
+    for i in net.players:
+        j = blocking_partner(net, game, i)
+        if j is not None:
             return (i, j)
     return None
 

@@ -37,6 +37,7 @@ from .model import (
     build_network,
     edge,
     edge_set,
+    require_strength,
 )
 from .moves import make_move
 from .stability import StabilityVerdict
@@ -53,11 +54,6 @@ def _require_int64(bound: int, what: str) -> None:
         raise ValidationError(
             f"{what} is {bound}, beyond the oracle's int64 tables (at most 2^63 - 1)"
         )
-
-
-def _require_strength(k: int, num_players: int) -> None:
-    if not 1 <= k <= num_players:
-        raise ValidationError(f"strength k={k} outside 1..{num_players}")
 
 
 def edge_budget() -> int:
@@ -281,7 +277,7 @@ class FeasibleGraphSet:
     def nash_flags(self, k: int) -> np.ndarray:
         """Boolean array over all masks: feasible, and no improving coalition
         of size <= k."""
-        _require_strength(k, self.n)
+        require_strength(k, self.n)
         if k in self._nash_cache:
             return self._nash_cache[k]
         flags = (self.nash_flags(k - 1) if k > 1 else self.feasible).copy()
@@ -335,7 +331,7 @@ def enumerate_feasible_graphs(
 
 def exhaustive_stability(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """Literal deviation search on the mask tables, with witness."""
-    _require_strength(k, net.num_players)
+    require_strength(k, net.num_players)
     fgs = FeasibleGraphSet(game, net.num_nonplayers, net.original_edges)
     mask = fgs.mask_of(net.edges)
     label = "PANE" if k == 1 else "k-PANE"
@@ -392,7 +388,7 @@ def cross_validate(
     from .lattice import bound_failures, greatest_pans, least_pans
     from .stability import is_k_strong, is_pane
 
-    _require_strength(max_k, game.num_players)
+    require_strength(max_k, game.num_players)
     fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
     disagreements: list[Disagreement] = []
     failures: list[str] = []

@@ -1,11 +1,12 @@
 """Stability verification: pairwise Nash and k-strong classes.
 
-Two routes are provided on purpose.  :func:`is_pane` applies the
-structural equilibrium conditions (degree thresholds, subset-addition
-search, blocking pairs, interconnection, plus a set-deletion completion),
-while :func:`is_k_strong` runs a literal deviation search over coalition
-moves.  The oracle module re-implements the search a third way on bitmask
-tables; cross-validation compares all of them.
+Two routes are provided on purpose.  :func:`is_pane` applies the six
+structural equilibrium conditions of :data:`CONDITIONS` (degree
+thresholds, subset-addition search, blocking pairs, interconnection, plus
+a set-deletion completion), whose moves the fixpoints also apply, while
+:func:`is_k_strong` runs a literal deviation search over coalition moves.
+The oracle module re-implements the search a third way on bitmask tables;
+cross-validation compares all of them.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
-from .model import Edge, GameSpec, Network, edge
+from .model import Edge, GameSpec, Network, edge, require_strength
 from .moves import (
     DeviationMove,
     blocking_pair,
+    blocking_partner,
     bundles_can_pay,
     check_move_budget,
     improving_coalition_move,
@@ -46,6 +48,11 @@ def _check_game(net: Network, game: GameSpec) -> None:
         raise ValidationError("alpha count does not match the player set")
 
 
+def _missing_pairs(net: Network, nodes) -> set[Edge]:
+    """Pairs among ``nodes`` that are not joined."""
+    return {edge(j, l) for j, l in itertools.combinations(nodes, 2) if l not in net.neighbours(j)}
+
+
 def _set_addition_gain(
     net: Network, game: GameSpec, i: int, targets: tuple[int, ...]
 ) -> tuple[int, set[Edge]]:
@@ -53,91 +60,124 @@ def _set_addition_gain(
     all her non-player neighbours afterwards, and the edges this adds: each
     target adds deg + 1 to S_i and one to deg(i), and each new pair adds 2."""
     p, q = game.ratio(i)
-    mine = net.nonplayer_neighbours(i) + list(targets)
-    pairs = {edge(j, l) for j, l in itertools.combinations(mine, 2) if l not in net.neighbours(j)}
+    pairs = _missing_pairs(net, net.nonplayer_neighbours(i) + list(targets))
     score = q * (sum(net.degree(t) + 1 for t in targets) + 2 * len(pairs)) - p * len(targets)
     return score, pairs | {edge(i, t) for t in targets}
 
 
-def missing_interconnection(net: Network, i: int) -> Optional[Edge]:
-    """First pair of i's non-player neighbours that is not joined, if any."""
-    for j, l in itertools.combinations(net.nonplayer_neighbours(i), 2):
-        if l not in net.neighbours(j):
-            return (j, l)
-    return None
+# -- the six PANE conditions ----------------------------------------------------
+#
+# A finder maps (net, game, i) to the move that breaks its condition at
+# player i, as (coalition, edge set after the move), or to None.
+
+Move = tuple[tuple[int, ...], frozenset[Edge]]
 
 
-def improving_set_addition(
-    net: Network, game: GameSpec, i: int
-) -> Optional[tuple[tuple[int, ...], frozenset[Edge]]]:
-    """Inclusion-minimal strictly-improving non-player target set for i.
+def _drops_of(players: bool):
+    def finder(net: Network, game: GameSpec, i: int) -> Optional[Move]:
+        drops = profitable_drops(net, game, i, players)
+        return ((i,), pure_deletion(net, i, drops)) if drops else None
 
-    Candidate sets run over non-player non-neighbours in ascending
-    cardinality, lexicographic within one cardinality, so the first hit is
-    inclusion-minimal and deterministic.
-    """
+    return finder
+
+
+def improving_set_addition(net: Network, game: GameSpec, i: int) -> Optional[Move]:
+    """i's move to her inclusion-minimal strictly-improving non-player
+    target set.  Candidate sets run over non-player non-neighbours in
+    ascending cardinality, lexicographic within one cardinality, so the
+    first hit is inclusion-minimal and deterministic."""
     candidates = sorted(v for v in net.nonplayers if v not in net.neighbours(i))
     for r in range(1, len(candidates) + 1):
         for targets in itertools.combinations(candidates, r):
             score, added = _set_addition_gain(net, game, i, targets)
             if score > 0:
-                return targets, net.edges | added
+                return (i,), net.edges | added
+    return None
+
+
+def _player_pair(net: Network, game: GameSpec, i: int) -> Optional[Move]:
+    j = blocking_partner(net, game, i)
+    return ((i, j), net.edges | {(i, j)}) if j is not None else None
+
+
+def _interconnection(net: Network, game: GameSpec, i: int) -> Optional[Move]:
+    missing = _missing_pairs(net, net.nonplayer_neighbours(i))
+    return ((i,), net.edges | missing) if missing else None
+
+
+def _set_deletion(net: Network, game: GameSpec, i: int) -> Optional[Move]:
+    if not bundles_can_pay(net, i):
+        return None
+    new_edges = improving_pure_deletion(net, game, i)
+    return ((i,), new_edges) if new_edges is not None else None
+
+
+CONDITIONS = {
+    "nonplayer-edge-deletion": _drops_of(players=False),
+    "nonplayer-set-addition": improving_set_addition,
+    "player-edge-deletion": _drops_of(players=True),
+    "missing-player-pair": _player_pair,
+    "uninterconnected-neighbours": _interconnection,
+    "set-deletion": _set_deletion,
+}
+DELETIONS = ("player-edge-deletion", "nonplayer-edge-deletion", "set-deletion")
+ADDITIONS = ("uninterconnected-neighbours", "nonplayer-set-addition", "missing-player-pair")
+
+
+def first_violation(
+    net: Network, game: GameSpec, names
+) -> Optional[tuple[str, tuple[int, ...], frozenset[Edge]]]:
+    """First (condition, coalition, edge set after the move) over ``names``
+    in the given order, each condition tried on every player in turn."""
+    for name in names:
+        finder = CONDITIONS[name]
+        for i in net.players:
+            found = finder(net, game, i)
+            if found is not None:
+                return (name, *found)
     return None
 
 
 def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
     """Structural pairwise-Nash test.
 
-    Conditions, in reporting order:
+    Conditions, in reporting order, each with the witness it reports for
+    the first player who breaks it:
 
-    a. every player-to-non-player edge (i, j) keeps its owner:
-       deg(j) plus the pairs only i holds together is at least alpha_i;
-    b. no player has a strictly improving set-addition to non-players;
-    c. every player-player edge satisfies deg(j) >= alpha_i both ways;
-    d. no missing player pair blocks (both weakly gain, one strictly);
-    e. any two non-player neighbours of a player are interconnected;
-    f. no player gains from deleting a *set* of her edges.  Conditions a
-       and c cover single deletions; when a player alone holds non-player
-       pairs together, dropped bundles share the collateral and can beat
-       every single drop, so the subset search completes the test.  Other
-       players' drop marginals add up, so a and c settle their case.
+    a. ``nonplayer-edge-deletion``: every player-to-non-player edge (i, j)
+       keeps its owner: deg(j) plus the pairs only i holds together is at
+       least alpha_i.  Witness: i drops all such edges whose single drop
+       pays, with the pairs only she holds together there.  One drop leaves
+       the others paying, so they go together.
+    b. ``nonplayer-set-addition``: no player has a strictly improving
+       set-addition to non-players.  Witness: the inclusion-minimal target
+       set, first by size and then lexicographically, with all her
+       non-player neighbours then interconnected.
+    c. ``player-edge-deletion``: every player-player edge satisfies
+       deg(j) >= alpha_i both ways.  Witness: as in a, for i's player edges.
+    d. ``missing-player-pair``: no missing player pair blocks (both weakly
+       gain, one strictly).  Witness: the lexicographically first such pair.
+    e. ``uninterconnected-neighbours``: any two non-player neighbours of a
+       player are interconnected.  Witness: i adds every missing pair
+       among her non-player neighbours.
+    f. ``set-deletion``: no player gains from deleting a *set* of her
+       edges.  Conditions a and c cover single deletions; when a player
+       alone holds non-player pairs together, dropped bundles share the
+       collateral and can beat every single drop, so the bundle search
+       completes the test.  Other players' drop marginals add up
+       (complementarity), so a and c settle their case and f skips them.
+       Witness: her best deletion (largest gain, then fewest deletions),
+       one small minimum cut rather than 2^deg(i) subsets.
+
+    The fixpoints apply exactly these witnesses.
     """
     _check_game(net, game)
-
-    def unstable(condition: str, coalition, new_edges) -> StabilityVerdict:
-        move = make_move(net, game, coalition, new_edges)
-        return StabilityVerdict(False, "PANE", 1, move, condition)
-
-    # (a) player-to-non-player deletions
-    for i in net.players:
-        drops = profitable_drops(net, game, i, players=False)
-        if drops:
-            return unstable("nonplayer-edge-deletion", [i], pure_deletion(net, i, drops[:1]))
-    # (b) set additions to non-players
-    for i in net.players:
-        found = improving_set_addition(net, game, i)
-        if found is not None:
-            return unstable("nonplayer-set-addition", [i], found[1])
-    # (c) player-player deletions
-    for i in net.players:
-        drops = profitable_drops(net, game, i, players=True)
-        if drops:
-            return unstable("player-edge-deletion", [i], pure_deletion(net, i, drops[:1]))
-    # (d) pairwise stability
-    pair = blocking_pair(net, game)
-    if pair is not None:
-        return unstable("missing-player-pair", list(pair), frozenset(net.edges | {pair}))
-    # (e) neighbour interconnection
-    for i in net.players:
-        missing = missing_interconnection(net, i)
-        if missing is not None:
-            return unstable("uninterconnected-neighbours", [i], net.edges | {missing})
-    # (f) set deletions (only players with sole-covered pairs can differ here)
-    for i in net.players:
-        new_edges = improving_pure_deletion(net, game, i) if bundles_can_pay(net, i) else None
-        if new_edges is not None:
-            return unstable("set-deletion", [i], new_edges)
-    return StabilityVerdict(True, "PANE", 1)
+    found = first_violation(net, game, CONDITIONS)
+    if found is None:
+        return StabilityVerdict(True, "PANE", 1)
+    condition, coalition, new_edges = found
+    move = make_move(net, game, coalition, new_edges)
+    return StabilityVerdict(False, "PANE", 1, move, condition)
 
 
 def _deviation_search(
@@ -154,8 +194,7 @@ def _deviation_search(
 def is_k_nash(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """k-strong Nash stability by exhaustive coalition-deviation search."""
     _check_game(net, game)
-    if not 1 <= k <= net.num_players:
-        raise ValidationError(f"strength k={k} outside 1..{net.num_players}")
+    require_strength(k, net.num_players)
     check_move_budget(net, k)
     label = "NE" if k == 1 else "k-NE"
     found = _deviation_search(net, game, k)

@@ -218,13 +218,46 @@ def test_bad_oracle_budget_exits_2(monkeypatch, value):
         ["enumerate", "--k", "5000"],
         ["oracle-check", "--max-k", "0"],
         ["oracle-check", "--max-k", "-3"],
+        ["characterize", "--k", "0"],
+        ["characterize", "--k", "5"],
+        ["characterize", "--k", "0", "--game", fx("ex1.game")],
+        ["characterize", "--k", "6", "--game", fx("fig3.game")],
+        ["characterize", "--k", "3", "--game", fx("ex1.game")],
     ],
 )
 def test_strength_outside_1_to_n_exits_2(monkeypatch, capsys, argv):
-    monkeypatch.setattr(sys, "argv", ["hidenet", *argv, "--game", fx("fig2.game")])
+    if "--game" not in argv:
+        argv = [*argv, "--game", fx("fig2.game")]
+    n = {fx("ex1.game"): 2, fx("fig3.game"): 5}.get(argv[-1], 4)
+    monkeypatch.setattr(sys, "argv", ["hidenet", *argv])
     with pytest.raises(SystemExit) as exc:
         main()
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert err.startswith("error:") and "outside 1..4" in err
+    assert err.startswith("error:") and f"outside 1..{n}" in err
     assert "Traceback" not in err
+
+
+def _exits_2_without_traceback(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "argv", ["hidenet", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "text", ["[nodes]\n0\n", "[nodes]\n-3\n", ""], ids=["zero", "negative", "empty"]
+)
+def test_detect_without_nodes_exits_2(monkeypatch, capsys, tmp_path, text):
+    plain = tmp_path / "plain.graph"
+    plain.write_text(text)
+    err = _exits_2_without_traceback(monkeypatch, capsys, ["detect", "--graph", str(plain)])
+    assert "at least one node" in err
+
+
+def test_out_to_a_directory_exits_2(monkeypatch, capsys, tmp_path):
+    argv = ["bound", "--game", fx("fig2.game"), "--out", str(tmp_path)]
+    _exits_2_without_traceback(monkeypatch, capsys, argv)

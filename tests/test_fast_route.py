@@ -24,7 +24,8 @@ from hidenet import (
     least_pans,
     max_included_pans,
 )
-from hidenet.model import sole_covered_pairs, utilities_from_edges
+from hidenet.fixpoint import require_no_profitable_deletion
+from hidenet.model import sole_cover_count, sole_covered_pairs, utilities_from_edges
 from hidenet.moves import (
     bundles_can_pay,
     closure,
@@ -173,3 +174,35 @@ def test_shrink_work_is_polynomial_from_the_complete_graph():
         out = max_included_pans(full, game, counter=counter)
         assert is_pane(out, game).stable
         assert counter.ops <= (n + m) ** 3
+
+
+def test_growth_entry_check_is_exact_on_pure_deletions():
+    # the deletion conditions of is_pane raise exactly when some player
+    # has a strictly improving pure deletion, bundles included; the tied
+    # game sets each alpha_i to her cheapest single drop's loss, so that
+    # only bundles can pay there
+    rng = random.Random(0xE7)
+    raised = bundle_only = kept = 0
+    for _ in range(150):
+        net, game = _state_with_sole_covers(rng)
+        tied = GameSpec([
+            min((net.degree(j) + sole_cover_count(net, j, i) for j in net.neighbours(i)),
+                default=0)
+            for i in net.players
+        ])
+        for g in (game, tied):
+            offenders = [
+                i for i in net.players if _enumerated_pure_deletion(net, g, i) is not None
+            ]
+            try:
+                require_no_profitable_deletion(net, g)
+            except PreconditionError as exc:
+                raised += 1
+                assert offenders and "profitable deletion" in str(exc)
+                bundle_only += all(
+                    drop_score(net, g, i, j) <= 0 for i in net.players for j in net.neighbours(i)
+                )
+            else:
+                kept += 1
+                assert not offenders
+    assert raised > 100 and kept > 100 and bundle_only > 30

@@ -112,3 +112,14 @@ def test_op_counter_reports_work(fig2_game):
     net = build_network(4, 0, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
     min_including_pans(net, fig2_game, counter=counter)
     assert counter.ops > 0
+
+
+def test_entry_checks_name_the_condition_and_the_player(fig2_game):
+    net = build_network(4, 0, [(1, 2)])
+    deletion = r"player 1 has a profitable deletion \(player-edge-deletion\)"
+    with pytest.raises(PreconditionError, match=deletion):
+        min_including_pans(net, fig2_game)
+    tri_plus = build_network(4, 0, [(1, 2), (1, 3), (2, 3), (1, 4)])
+    addition = r"player 2 with player 4 has a profitable addition \(missing-player-pair\)"
+    with pytest.raises(PreconditionError, match=addition):
+        max_included_pans(tri_plus, fig2_game)

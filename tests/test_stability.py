@@ -13,6 +13,7 @@ from hidenet import (
     utility,
 )
 from hidenet.model import resulting_network, minimal_profile
+from hidenet.stability import ADDITIONS, CONDITIONS, DELETIONS
 
 
 def test_example1_not_an_equilibrium(example1):
@@ -119,3 +120,59 @@ def test_minimal_profile_convention_example2(example2_game):
     net = resulting_network(eager, 2, 0)
     assert minimal_profile(net) != eager
     assert is_pane(net, example2_game).stable
+
+
+def _replays(net, game, verdict):
+    """The witness is a profitable move: recomputed utilities give its
+    deltas, every member weakly gains and one strictly."""
+    move = verdict.witness
+    before, after = utility(net, game), utility(move.result, game)
+    gains = [after.of(i) - before.of(i) for i in move.coalition]
+    assert gains == [move.deltas[i] for i in move.coalition]
+    return min(gains) >= 0 and max(gains) > 0
+
+
+@pytest.mark.parametrize(
+    "alphas, m, edges, condition, coalition, deleted, added",
+    [
+        # player 1 would drop both non-players; the witness drops both
+        ((F(3), F(9)), 2, [(1, 3), (1, 4)], "nonplayer-edge-deletion", (1,),
+         {(1, 3), (1, 4)}, set()),
+        # a free player connects to the lone non-player
+        ((F(0), F(9)), 1, [], "nonplayer-set-addition", (1,), set(), {(1, 3)}),
+        # player 1 would drop both player edges; the witness drops both
+        ((F(3), F(3), F(3)), 0, [(1, 2), (1, 3)], "player-edge-deletion", (1,),
+         {(1, 2), (1, 3)}, set()),
+        ((F(1, 10), F(1, 10)), 0, [], "missing-player-pair", (1, 2), set(), {(1, 2)}),
+        # at alpha 1 every drop ties, so only interconnection is missing;
+        # the witness adds all three pairs
+        ((F(1), F(9)), 3, [(1, 3), (1, 4), (1, 5)], "uninterconnected-neighbours", (1,),
+         set(), {(3, 4), (3, 5), (4, 5)}),
+        # single drops tie, dropping both pays (see the test above)
+        ((F(3), F(8)), 2, [(1, 3), (1, 4), (3, 4)], "set-deletion", (1,),
+         {(1, 3), (1, 4), (3, 4)}, set()),
+    ],
+)
+def test_each_condition_reports_its_whole_move(alphas, m, edges, condition, coalition,
+                                               deleted, added):
+    game = GameSpec(alphas)
+    net = build_network(len(alphas), m, edges)
+    verdict = is_pane(net, game)
+    assert not verdict.stable
+    assert verdict.condition == condition
+    assert verdict.witness.coalition == coalition
+    assert verdict.witness.deleted_edges == deleted
+    assert verdict.witness.added_edges == added
+    assert _replays(net, game, verdict)
+
+
+def test_conditions_table_orders_is_pane_and_the_entry_checks():
+    assert list(CONDITIONS) == [
+        "nonplayer-edge-deletion",
+        "nonplayer-set-addition",
+        "player-edge-deletion",
+        "missing-player-pair",
+        "uninterconnected-neighbours",
+        "set-deletion",
+    ]
+    assert sorted(DELETIONS + ADDITIONS) == sorted(CONDITIONS)
