@@ -39,14 +39,6 @@ from .lattice import (
     least_pans,
     meet_pans,
 )
-from .oracle import (
-    CrossValidationReport,
-    FeasibleGraphSet,
-    cross_validate,
-    enumerate_feasible_graphs,
-    exhaustive_stability,
-    max_social_welfare,
-)
 from .analytics import (
     ClosedFormResult,
     EfficiencyReport,
@@ -74,5 +66,27 @@ from .detection import (
 )
 from .gamefile import parse_game_file, parse_graph_file, serialize_game, serialize_graph
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The oracle needs numpy, which costs most of the package's import time, so
+# it and its names load on first use (PEP 562); commands without it never pay.
+_ORACLE_NAMES = (
+    "CrossValidationReport",
+    "FeasibleGraphSet",
+    "cross_validate",
+    "enumerate_feasible_graphs",
+    "exhaustive_stability",
+    "max_social_welfare",
+)
+
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")] + ["oracle", *_ORACLE_NAMES]
+)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    oracle = importlib.import_module(".oracle", __name__)
+    return oracle if name == "oracle" else getattr(oracle, name)

@@ -30,7 +30,6 @@ from .model import (
     utility,
 )
 from .moves import blocking_pair
-from .oracle import FeasibleGraphSet
 from .stability import first_violation, is_nash_stable, is_pane
 
 Ratio = Union[Fraction, float]
@@ -413,6 +412,8 @@ def efficiency(
     k: int = 1,
 ) -> EfficiencyReport:
     """Exact welfare extremes and prices over the enumerated k-strong set."""
+    from .oracle import FeasibleGraphSet
+
     fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
     max_sw, witness = fgs.max_welfare()
     sws = [fgs.utilities(mask).sw for mask in fgs.pans_masks(k)]
@@ -521,6 +522,8 @@ def strength_equivalences(
     an element is strong iff it gives every player her maximum across the
     set; all strong elements share one utility vector; and the prices at
     strength k coincide iff the k-strong and fully-strong sets are equal."""
+    from .oracle import FeasibleGraphSet
+
     fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
     n = game.num_players
     k_masks = fgs.pans_masks(k)

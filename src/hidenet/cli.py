@@ -5,9 +5,17 @@
     hidenet enumerate --game fig2.game --k 3
     hidenet detect --graph observed.graph --beta 5/2 --slack 1
 
-Exit codes: 0 success, 2 validation or precondition failure, 3 oracle
-budget exceeded.  Reports are deterministic given the inputs; JSON is the
-canonical format and ``--format text`` prints the same fields flat.
+``verify`` runs the polynomial structural check (``is_pane``) first.  Every
+k-strong stable graph is pairwise Nash stable, so that check settles k = 1
+and every unstable graph, and its verdict names the violated condition;
+only a stable graph at k >= 2 goes on to the coalition search.  The oracle,
+and with it numpy, is imported only by ``enumerate``, ``efficiency`` and
+``oracle-check``.
+
+Exit codes: 0 success, 2 validation or precondition failure, 3 oracle or
+coalition-search budget exceeded.  Reports are deterministic given the
+inputs; JSON is the canonical format and ``--format text`` prints the same
+fields flat.
 """
 
 from __future__ import annotations
@@ -18,8 +26,7 @@ from . import analytics, detection, lattice, reports
 from .errors import BudgetExceededError, HidenetError, ValidationError
 from .gamefile import parse_game_file, parse_graph_file, parse_plain_graph
 from .model import GameSpec, Network, as_fraction, require_strength, utility
-from .oracle import cross_validate
-from .stability import is_k_strong
+from .stability import StabilityVerdict, is_k_strong, is_pane
 
 COMMANDS = (
     "verify",
@@ -105,6 +112,19 @@ def _characterize(net: Network, game: GameSpec, args, m: int, e0) -> dict:
     return payload
 
 
+def _verify(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
+    """k-PANS lies inside PANS, so ``is_pane`` settles k = 1 and every
+    unstable graph; its witness has at most two members, so it is a k-move.
+    Only a pairwise stable graph at k >= 2 needs the coalition search."""
+    require_strength(k, game.num_players)
+    verdict = is_pane(net, game)
+    if k == 1:
+        return verdict
+    if verdict.stable:
+        return is_k_strong(net, game, k)
+    return StabilityVerdict(False, "k-PANE", k, verdict.witness, verdict.condition)
+
+
 def run_command(argv) -> tuple[int, str]:
     """Execute one CLI invocation; returns (exit code, rendered report)."""
     try:
@@ -146,10 +166,9 @@ def _dispatch(args) -> dict:
 
     if command == "verify":
         nets = _load_graphs(args, base, 1) if args.graph else [base]
-        verdict = is_k_strong(nets[0], game, args.k)
         return {
             "command": "verify",
-            "verdict": reports.verdict_dict(verdict),
+            "verdict": reports.verdict_dict(_verify(nets[0], game, args.k)),
             "utilities": reports.utility_dict(utility(nets[0], game)),
         }
     if command in ("least", "greatest"):
@@ -183,6 +202,8 @@ def _dispatch(args) -> dict:
             "additive_bound": reports.rational_str(analytics.additive_bound(game, m)),
         }
     if command == "oracle-check":
+        from .oracle import cross_validate
+
         report = cross_validate(game, m, e0, max_k=args.max_k)
         return {"command": "oracle-check", "report": reports.cross_validation_dict(report)}
     raise ValidationError(f"unknown command {command!r}")

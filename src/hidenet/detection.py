@@ -39,15 +39,30 @@ class DetectionReport:
     edits_needed: int
 
 
+def _integer_root(n: int, d: int) -> int:
+    """floor(n^(1/d)) for n >= 1, in integers only (Newton's step from above)."""
+    if d == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // d)  # 2^ceil(bits/d) > n^(1/d)
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
+
+
 def _clique_prior(size: int, beta: Fraction) -> Prior:
     """1 / size^beta, exact when size is a perfect power matching beta's
-    denominator, float otherwise."""
+    denominator, float otherwise (0.0 once it underflows)."""
     if size <= 1:
         return Fraction(1)
-    root = round(size ** (1 / beta.denominator))
+    root = _integer_root(size, beta.denominator)
     if root**beta.denominator == size:
         return Fraction(1, root**beta.numerator)
-    return 1.0 / math.pow(size, float(beta))
+    try:
+        return 1.0 / math.pow(size, float(beta))
+    except OverflowError:
+        return math.exp(-float(beta) * math.log(size))
 
 
 def detect_infiltration(

@@ -17,7 +17,6 @@ from typing import Iterable
 from .errors import PreconditionError
 from .fixpoint import max_included_pans, min_including_pans
 from .model import Edge, GameSpec, Network, build_network, edge_set
-from .oracle import FeasibleGraphSet
 from .stability import is_k_strong, is_pane
 
 
@@ -116,6 +115,8 @@ def enumerate_lattice(
     inside the k-strong one.  Any disagreement raises, since it means two
     independent implementations of the model diverge.
     """
+    from .oracle import FeasibleGraphSet
+
     fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
     masks = fgs.pans_masks(k)
     if not masks:

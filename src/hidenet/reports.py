@@ -10,14 +10,17 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .analytics import ClosedFormResult, EfficiencyReport
 from .detection import DetectionReport
 from .lattice import LatticeSummary
 from .model import Network, UtilityVector
 from .moves import DeviationMove
-from .oracle import CrossValidationReport
 from .stability import StabilityVerdict
+
+if TYPE_CHECKING:
+    from .oracle import CrossValidationReport
 
 
 def rational_str(value) -> str:

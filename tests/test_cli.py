@@ -1,10 +1,20 @@
+import itertools
 import json
+import os
 import pathlib
+import random
+import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
+from conftest import random_instance
+from hidenet import GameSpec, build_network, greatest_pans, is_k_strong, utility
 from hidenet.cli import main, run_command
+from hidenet.gamefile import serialize_game, serialize_graph
+from hidenet.oracle import FeasibleGraphSet, candidate_edge_count
+from hidenet.stability import CONDITIONS
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -34,6 +44,7 @@ def test_verify_unstable_carries_witness(example1):
     payload = json.loads(out)
     assert payload["verdict"]["stable"] is False
     assert payload["verdict"]["witness"] is not None
+    assert payload["verdict"]["condition"] in CONDITIONS
     assert payload["utilities"]["per_player"] == ["3", "3"]
 
 
@@ -261,3 +272,129 @@ def test_detect_without_nodes_exits_2(monkeypatch, capsys, tmp_path, text):
 def test_out_to_a_directory_exits_2(monkeypatch, capsys, tmp_path):
     argv = ["bound", "--game", fx("fig2.game"), "--out", str(tmp_path)]
     _exits_2_without_traceback(monkeypatch, capsys, argv)
+
+
+# -- numpy only for the oracle commands ------------------------------------------
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
+
+# Runs hidenet.cli as ``python -m`` does, then reports on stderr whether
+# numpy was loaded by the time the command finished.
+_RUN_AS_MAIN = """
+import runpy, sys
+code = 0
+try:
+    runpy.run_module("hidenet.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+def _fresh_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--game", fx("fig2.game"), "--graph", fx("triangle123.graph")],
+        ["least", "--game", fx("fig2.game")],
+        ["greatest", "--game", fx("ex5.game")],
+        ["join", "--game", fx("fig2.game"), "--graph", fx("triangle123.graph"),
+         "--graph", fx("triangle124.graph")],
+        ["meet", "--game", fx("fig2.game"), "--graph", fx("k4.graph"),
+         "--graph", fx("triangle123.graph")],
+        ["characterize", "--game", fx("fig2.game"), "--graph", fx("k4.graph")],
+        ["bound", "--game", fx("fig2.game")],
+        ["detect", "--graph", fx("observed.graph")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_without_the_oracle_never_load_numpy(argv):
+    proc = _fresh_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "numpy loaded: False\n"
+
+
+def test_oracle_commands_load_it_on_demand():
+    proc = _fresh_cli("enumerate", "--game", fx("fig2.game"), "--k", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "enumerate_fig2_k3.json").read_text()
+    assert proc.stderr == "numpy loaded: True\n"
+    import hidenet
+    from hidenet import cross_validate
+
+    assert hidenet.FeasibleGraphSet is FeasibleGraphSet
+    assert callable(cross_validate)
+    assert {"FeasibleGraphSet", "cross_validate", "exhaustive_stability"} <= set(hidenet.__all__)
+
+
+# -- verify runs the structural check first --------------------------------------
+
+
+def _write_state(tmp_path, net, game, name="state"):
+    base = build_network(net.num_players, net.num_nonplayers, net.original_edges, net.original_edges)
+    game_file, graph_file = tmp_path / f"{name}.game", tmp_path / f"{name}.graph"
+    game_file.write_text(serialize_game(base, game))
+    graph_file.write_text(serialize_graph(net))
+    return str(game_file), str(graph_file)
+
+
+def test_verify_k1_settles_large_graphs_without_coalition_search(tmp_path):
+    # the coalition search would need ~5e8 moves here and exits 3 for budget
+    rng = random.Random(1)
+    n, m = 16, 10
+    den = rng.choice([1, 2, 3, 4])
+    game = GameSpec([F(rng.randint(0, 30 * den), den) for _ in range(n)])
+    e0 = [(a, b) for a, b in itertools.combinations(range(n + 1, n + m + 1), 2) if rng.random() < 0.3]
+    game_file, graph_file = _write_state(tmp_path, greatest_pans(game, m, e0), game)
+    code, out = run("verify", "--game", game_file, "--graph", graph_file, "--k", "1")
+    assert code == 0, out
+    verdict = json.loads(out)["verdict"]
+    assert verdict == {"stable": True, "class": "PANE", "k": 1, "condition": None, "witness": None}
+
+
+def _replays(net, game, witness):
+    """The reported move, rebuilt from the JSON, gives its deltas through
+    ``model.utility``; every member weakly gains and one strictly."""
+    new_edges = (net.edges - {tuple(e) for e in witness["deleted_edges"]}) | {
+        tuple(e) for e in witness["added_edges"]
+    }
+    after = build_network(net.num_players, net.num_nonplayers, new_edges, net.original_edges)
+    before, now = utility(net, game), utility(after, game)
+    gains = {str(i): now.of(i) - before.of(i) for i in witness["coalition"]}
+    assert {i: str(g) for i, g in gains.items()} == witness["deltas"]
+    return min(gains.values()) >= 0 and max(gains.values()) > 0
+
+
+def test_verify_agrees_with_the_coalition_search(tmp_path):
+    rng = random.Random(0xC11)
+    checked = {True: 0, False: 0}
+    while sum(checked.values()) < 120:
+        game, m, e0 = random_instance(rng)
+        if candidate_edge_count(game.num_players, m) > 10:
+            continue
+        fgs = FeasibleGraphSet(game, m, e0)
+        # random states are nearly all unstable, so half are drawn from PANS
+        stable, every = fgs.pans_masks(1), list(fgs.masks)
+        for mask in rng.sample(stable, min(2, len(stable))) + rng.sample(every, 2):
+            net = fgs.network(int(mask))
+            game_file, graph_file = _write_state(tmp_path, net, game)
+            for k in (1, 2):
+                code, out = run("verify", "--game", game_file, "--graph", graph_file, "--k", str(k))
+                assert code == 0, out
+                verdict = json.loads(out)["verdict"]
+                assert verdict["stable"] == is_k_strong(net, game, k).stable
+                assert verdict["class"] == ("PANE" if k == 1 else "k-PANE") and verdict["k"] == k
+                checked[verdict["stable"]] += 1
+                if not verdict["stable"]:
+                    assert verdict["condition"] in CONDITIONS
+                    assert len(verdict["witness"]["coalition"]) <= 2  # a k-move
+                    assert _replays(net, game, verdict["witness"])
+    assert min(checked.values()) >= 10

@@ -5,6 +5,7 @@ import pytest
 from hidenet import GameSpec, ValidationError
 from hidenet.detection import (
     DEFAULT_BETA,
+    _clique_prior,
     detect_infiltration,
     detect_network,
     predict_equilibrium_shape,
@@ -67,6 +68,20 @@ def test_prior_decreases_in_clique_size_and_beta():
 def test_prior_in_unit_interval():
     rep = detect_infiltration(3, [], DEFAULT_BETA, 0)
     assert 0 < rep.prior_probability <= 1
+
+
+@pytest.mark.parametrize("beta", [F(5, 2), F(11, 5), F(8, 3), F(21, 10), F(17, 7)])
+@pytest.mark.parametrize(
+    "root", [2, 3, 10**6 + 3, 2**61 + 1, 3**400], ids=["2", "3", "1e6+3", "2^61+1", "3^400"]
+)
+def test_prior_is_exact_on_large_perfect_powers(beta, root):
+    # a float root misses these, and sizes beyond ~1.8e308 overflow a float
+    d = beta.denominator
+    assert _clique_prior(root**d, beta) == F(1, root**beta.numerator)
+    assert type(_clique_prior(root**d, beta)) is F
+    for size in (root**d - 1, root**d + 1):
+        prior = _clique_prior(size, beta)
+        assert type(prior) is float and 0 <= prior < 1
 
 
 def test_prediction_examples(fig2_game, example1):
