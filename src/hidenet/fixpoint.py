@@ -9,8 +9,9 @@ inclusion-minimal profitable set-additions, blocking player pairs) and
 grows a graph to the smallest pairwise Nash stable superset;
 ``max_included_pans`` sweeps the deletions (single drops to players, then
 to non-players, then deletion bundles) and shrinks a graph to the largest
-stable subset.  ``min_including_k_pans`` generalises the growth process
-to coalition additions of size up to k.
+stable subset.  ``min_including_k_pans`` grows a graph by the coalition
+search's own moves (``moves.first_coalition_move``), restricted to pure
+additions and taken inclusion-minimal, for coalitions of size up to k.
 
 Entry conditions are enforced rather than assumed: growth requires that
 no deletion condition is broken, shrinking that no addition condition is.
@@ -20,13 +21,12 @@ player, since the fixpoints are only canonical under them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import PreconditionError
-from .model import Edge, GameSpec, Network, edge, utilities_from_edges
-from .moves import closure, improves_all, player_incident_edges
+from .model import Edge, GameSpec, Network, require_strength
+from .moves import coalition_additions, first_coalition_move
 from .stability import ADDITIONS, CONDITIONS, DELETIONS, first_violation
 
 
@@ -46,14 +46,7 @@ def _tick(counter: Optional[OpCounter], amount: int = 1) -> None:
         counter.tick(amount)
 
 
-def _player_order(net: Network, order) -> list[int]:
-    players = list(order) if order is not None else list(net.players)
-    if sorted(players) != list(net.players):
-        raise ValueError("player order must be a permutation of the players")
-    return players
-
-
-def _sweep(net: Network, game: GameSpec, names, players, counter) -> Network:
+def _sweep(net: Network, game: GameSpec, names, counter) -> Network:
     """Apply the moves of the named conditions, player by player, until a
     whole sweep changes nothing.  Intermediate states are not validated."""
     current = net
@@ -62,7 +55,7 @@ def _sweep(net: Network, game: GameSpec, names, players, counter) -> Network:
         changed = False
         for name in names:
             finder = CONDITIONS[name]
-            for i in players:
+            for i in net.players:
                 while True:
                     _tick(counter)
                     found = finder(current, game, i)
@@ -95,11 +88,10 @@ def min_including_pans(
     net: Network,
     game: GameSpec,
     counter: Optional[OpCounter] = None,
-    _order=None,
 ) -> Network:
     """Smallest pairwise Nash stable graph containing ``net``."""
     require_no_profitable_deletion(net, game)
-    current = _sweep(net, game, ADDITIONS, _player_order(net, _order), counter)
+    current = _sweep(net, game, ADDITIONS, counter)
     return net if current is net else net.with_edges(current.edges)
 
 
@@ -107,7 +99,6 @@ def max_included_pans(
     net: Network,
     game: GameSpec,
     counter: Optional[OpCounter] = None,
-    _order=None,
     check_entry: bool = True,
 ) -> Network:
     """Largest pairwise Nash stable graph contained in ``net``.
@@ -122,56 +113,8 @@ def max_included_pans(
     """
     if check_entry:
         require_no_profitable_addition(net, game)
-    current = _sweep(net, game, DELETIONS, _player_order(net, _order), counter)
+    current = _sweep(net, game, DELETIONS, counter)
     return net if current is net else net.with_edges(current.edges)
-
-
-def _subsets(pool, smallest: int = 0) -> list[tuple]:
-    """Subsets of ``pool`` as tuples, by size and then lexicographic."""
-    return [
-        c for r in range(smallest, len(pool) + 1) for c in itertools.combinations(pool, r)
-    ]
-
-
-def _coalition_addition(
-    net: Network, game: GameSpec, k: int, counter: Optional[OpCounter]
-) -> Optional[frozenset[Edge]]:
-    """First improving coalition addition, smallest coalition first.
-
-    A move connects every player of U to every target in T, adds the
-    chosen missing pairs among W, and interconnects everything a member
-    then covers.  All of U union W must weakly profit and someone strictly.
-    Ordered by coalition size, then lexicographic coalition, then bundle
-    size, so the applied move is a deterministic inclusion-minimal choice.
-    """
-    base = utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
-    adjacency = player_incident_edges(net)
-    for size in range(1, min(k, net.num_players) + 1):
-        for coalition in itertools.combinations(net.players, size):
-            cset = set(coalition)
-            pair_pool = [
-                e for e in itertools.combinations(coalition, 2) if e not in net.edges
-            ]
-            candidates = sorted(
-                (len(t) + len(pairs), u, t, pairs)
-                for u in _subsets(coalition)
-                for t in (_subsets(sorted(net.nonplayers), 1) if u else [()])
-                for pairs in _subsets(pair_pool)
-                if set(u).union(*pairs) == cset
-            )
-            for _, u, t, pairs in candidates:
-                _tick(counter)
-                extra = {edge(i, j) for i in u for j in t} | set(pairs)
-                new_adj = frozenset(adjacency | extra)
-                new_edges = closure(net, sorted(coalition), new_adj, allow_new=True)
-                if new_edges == net.edges:
-                    continue
-                after = utilities_from_edges(
-                    net.num_players, net.num_nodes, new_edges, game.alphas
-                )
-                if improves_all(base, after, coalition):
-                    return new_edges
-    return None
 
 
 def min_including_k_pans(
@@ -179,17 +122,26 @@ def min_including_k_pans(
     game: GameSpec,
     k: int,
     counter: Optional[OpCounter] = None,
-    _order=None,
 ) -> Network:
-    """Smallest k-strong pairwise Nash stable graph containing ``net``."""
+    """Smallest k-strong pairwise Nash stable graph containing ``net``.
+
+    For k >= 2 the growth applies the coalition search's own moves,
+    restricted to pure additions (``moves.coalition_additions``): the
+    first coalition, by size and then lexicographically, with an improving
+    addition applies its inclusion-minimal one, until no coalition of size
+    up to k has one.  The counter ticks once per addition tried.
+    """
+    require_strength(k, game.num_players)
     if k == 1:
-        return min_including_pans(net, game, counter, _order)
+        return min_including_pans(net, game, counter)
     require_no_profitable_deletion(net, game)
-    players = _player_order(net, _order)
-    # coalition moves only add edges and interconnect what their members
-    # cover, so one interconnection sweep up front keeps every player
-    # interconnected
-    current = _sweep(net, game, ("uninterconnected-neighbours",), players, counter)
-    while (found := _coalition_addition(current, game, k, counter)) is not None:
-        current = current.with_edges_unchecked(found)
+
+    def additions(state: Network, coalition) -> Iterator[frozenset[Edge]]:
+        for adjacency in coalition_additions(state, coalition):
+            _tick(counter)
+            yield adjacency
+
+    current = net
+    while (found := first_coalition_move(current, game, k, additions)) is not None:
+        current = current.with_edges_unchecked(found[1])
     return net if current is net else net.with_edges(current.edges)

@@ -16,6 +16,10 @@ or adding every feasible one weakly improves every member.  Improving-move
 search therefore only visits interconnect-maximal moves; pure-deletion
 search uses the survive-only closure.
 
+:func:`first_coalition_move` is the one coalition loop: the coalition
+search runs it over every adjacency choice, the k-strong growth over the
+pure additions among them.
+
 The coalition search evaluates full ``Fraction`` utility vectors.  The
 fast route (the structural checker and the fixpoints) scores the moving
 player alone, on integers: with alpha_i = p_i / q_i it compares q_i * dS_i
@@ -30,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .model import (
@@ -155,25 +159,67 @@ def make_move(
     )
 
 
+def coalition_additions(net: Network, coalition: Sequence[int]) -> Iterator[frozenset[Edge]]:
+    """The pure additions among a coalition's adjacency choices.
+
+    A member may add a missing pair to another member or an edge to a
+    non-player; nothing is removed.  Fewest added edges first, then
+    lexicographic, so the first improving choice is inclusion-minimal.
+    """
+    members = sorted(coalition)
+    current = player_incident_edges(net)
+    inside = itertools.combinations(members, 2)
+    to_nonplayers = (edge(i, j) for i in members for j in net.nonplayers)
+    missing = sorted(set(itertools.chain(inside, to_nonplayers)) - current)
+    for r in range(len(missing) + 1):
+        for added in itertools.combinations(missing, r):
+            yield current | frozenset(added)
+
+
+def first_coalition_move(
+    net: Network,
+    game: GameSpec,
+    k: int,
+    choices: Callable[[Network, Sequence[int]], Iterable[frozenset[Edge]]],
+) -> Optional[tuple[tuple[int, ...], frozenset[Edge]]]:
+    """First (coalition, edge set after the move) whose move weakly improves
+    every member and strictly improves one.
+
+    Coalitions run by size up to k, then lexicographically, and each tries
+    ``choices(net, coalition)`` in order, closed with every pair a member
+    covers interconnected.  Closure keeps the adjacency as the
+    player-incident part, so distinct choices never repeat a move.
+    """
+    base = utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
+    for size in range(1, min(k, net.num_players) + 1):
+        for coalition in itertools.combinations(net.players, size):
+            for adjacency in choices(net, coalition):
+                new_edges = closure(net, coalition, adjacency, allow_new=True)
+                if new_edges == net.edges:
+                    continue
+                after = utilities_from_edges(
+                    net.num_players, net.num_nodes, new_edges, game.alphas
+                )
+                if improves_all(base, after, coalition):
+                    return coalition, new_edges
+    return None
+
+
 def improving_coalition_move(
     net: Network,
     game: GameSpec,
     coalition: Sequence[int],
 ) -> Optional[frozenset[Edge]]:
     """First interconnect-maximal move that weakly improves every member
-    and strictly improves at least one, or None."""
-    base = utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
-    members = sorted(coalition)
-    seen = set()
-    for adjacency in coalition_adjacency_choices(net, coalition):
-        new_edges = closure(net, members, adjacency, allow_new=True)
-        if new_edges == net.edges or new_edges in seen:
-            continue
-        seen.add(new_edges)
-        after = utilities_from_edges(net.num_players, net.num_nodes, new_edges, game.alphas)
-        if improves_all(base, after, members):
-            return new_edges
-    return None
+    and strictly improves at least one, or None: the coalition search's
+    loop with every other coalition given no choices."""
+    members = tuple(sorted(coalition))
+
+    def choices(state: Network, c: Sequence[int]) -> Iterable[frozenset[Edge]]:
+        return coalition_adjacency_choices(state, c) if c == members else ()
+
+    found = first_coalition_move(net, game, len(members), choices)
+    return None if found is None else found[1]
 
 
 def improves_all(base: UtilityVector, after: UtilityVector, members: Sequence[int]) -> bool:

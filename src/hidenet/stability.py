@@ -23,7 +23,8 @@ from .moves import (
     blocking_partner,
     bundles_can_pay,
     check_move_budget,
-    improving_coalition_move,
+    coalition_adjacency_choices,
+    first_coalition_move,
     improving_pure_deletion,
     make_move,
     profitable_drops,
@@ -180,24 +181,13 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
     return StabilityVerdict(False, "PANE", 1, move, condition)
 
 
-def _deviation_search(
-    net: Network, game: GameSpec, k: int
-) -> Optional[tuple[list[int], frozenset[Edge]]]:
-    for size in range(1, min(k, net.num_players) + 1):
-        for coalition in itertools.combinations(net.players, size):
-            found = improving_coalition_move(net, game, list(coalition))
-            if found is not None:
-                return list(coalition), found
-    return None
-
-
 def is_k_nash(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """k-strong Nash stability by exhaustive coalition-deviation search."""
     _check_game(net, game)
     require_strength(k, net.num_players)
     check_move_budget(net, k)
     label = "NE" if k == 1 else "k-NE"
-    found = _deviation_search(net, game, k)
+    found = first_coalition_move(net, game, k, coalition_adjacency_choices)
     if found is not None:
         coalition, new_edges = found
         return StabilityVerdict(False, label, k, make_move(net, game, coalition, new_edges))

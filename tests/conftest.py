@@ -11,6 +11,22 @@ def complete_edges(num_nodes):
     return [(a, b) for a, b in itertools.combinations(range(1, num_nodes + 1), 2)]
 
 
+def relabel_game(perm, game):
+    """The game with player i renamed perm[i - 1]."""
+    alphas = [None] * len(perm)
+    for i, alpha in zip(perm, game.alphas):
+        alphas[i - 1] = alpha
+    return GameSpec(alphas)
+
+
+def relabel_edges(perm, edges):
+    """``edges`` with player i renamed perm[i - 1]; non-players keep their labels."""
+    name = {i: j for i, j in enumerate(perm, start=1)}
+    return frozenset(
+        tuple(sorted((name.get(a, a), name.get(b, b)))) for a, b in edges
+    )
+
+
 @pytest.fixture
 def example1():
     """Two infiltrators, three bystanders, the played (unstable) state."""

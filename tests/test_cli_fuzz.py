@@ -1,10 +1,13 @@
 """Every CLI command on generated game, graph and plain-graph texts.
 
-Whatever the files hold, a run ends in a report (exit 0), a validation or
-precondition error (2) or a budget refusal (3), never in an uncaught
+Whatever the files hold, a run ends in a report (exit 0; valid JSON under
+``--format json``), a validation or precondition error (2) or a budget
+refusal (3), both printed as one ``error: `` message, never in an uncaught
 exception.  Node counts stay between -2 and 8 and the oracle budget at 6
 candidate edges, so no example allocates or searches much.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -90,5 +93,9 @@ def test_cli_exits_0_2_or_3_on_generated_files(
         argv += ["--out", str(workdir if out == "dir" else workdir / "report.out")]
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("HIDENET_ORACLE_BUDGET", "6")
-        code, _ = run_command(argv)
+        code, output = run_command(argv)
     assert code in (0, 2, 3)
+    if code in (2, 3):
+        assert output.startswith("error: ") and "Traceback" not in output
+    elif fmt == "json" and out is None:
+        json.loads(output)

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,14 +8,18 @@ from hidenet import (
     GameSpec,
     OpCounter,
     PreconditionError,
+    ValidationError,
     build_network,
+    enumerate_feasible_graphs,
+    is_k_strong,
     is_pane,
     max_included_pans,
     min_including_k_pans,
     min_including_pans,
 )
+from hidenet.oracle import candidate_edge_count
 
-from conftest import complete_edges
+from conftest import complete_edges, random_instance, relabel_edges, relabel_game
 
 
 def test_min_including_empty_fig2_stays_empty(fig2_game):
@@ -83,20 +89,19 @@ def test_outputs_grow_and_shrink(fig2_game):
 
 
 def test_order_independence(fig2_game, fig3_game):
-    import itertools
-
+    # renaming the players renames the fixpoints: neither the sweep order
+    # nor any finder's label-based tie-break changes the result
     net = build_network(4, 0, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
-    outs = {
-        min_including_pans(net, fig2_game, _order=list(perm)).edges
-        for perm in itertools.permutations(range(1, 5))
-    }
-    assert len(outs) == 1
+    grown = min_including_pans(net, fig2_game).edges
+    for perm in itertools.permutations(range(1, 5)):
+        renamed = build_network(4, 0, relabel_edges(perm, net.edges))
+        out = min_including_pans(renamed, relabel_game(perm, fig2_game))
+        assert out.edges == relabel_edges(perm, grown)
     k5 = build_network(5, 0, complete_edges(5))
-    outs = {
-        max_included_pans(k5, fig3_game, _order=list(perm)).edges
-        for perm in itertools.islice(itertools.permutations(range(1, 6)), 24)
-    }
-    assert len(outs) == 1
+    shrunk = max_included_pans(k5, fig3_game).edges
+    for perm in itertools.islice(itertools.permutations(range(1, 6)), 24):
+        out = max_included_pans(k5, relabel_game(perm, fig3_game))
+        assert out.edges == relabel_edges(perm, shrunk)
 
 
 def test_k_strong_growth_examples(fig2_game, fig3_game):
@@ -105,6 +110,36 @@ def test_k_strong_growth_examples(fig2_game, fig3_game):
     assert min_including_k_pans(empty4, fig2_game, 1).edges == frozenset()
     empty5 = build_network(5, 0, [])
     assert min_including_k_pans(empty5, fig3_game, 5).edges == frozenset(complete_edges(5))
+
+
+def test_k_strong_growth_is_the_oracles_least_k_pans():
+    # a member may gain without acting: (1, 2, 3) adds (1, 3) to K4 - (1, 3)
+    # and player 2 gains, so the least 3-PANS is K4
+    game = GameSpec((F(3), F(0), F(3), F(1)))
+    for k in (3, 4):
+        grown = min_including_k_pans(build_network(4, 0, []), game, k)
+        assert grown.edges == frozenset(complete_edges(4))
+    rng = random.Random(11)
+    cases = 0
+    while cases < 60:
+        game, m, e0 = random_instance(rng, max_players=4, max_nonplayers=3)
+        n = game.num_players
+        if candidate_edge_count(n, m) > 10:
+            continue
+        fgs = enumerate_feasible_graphs(game, m, e0)
+        for k in range(2, n + 1):
+            cases += 1
+            least, *others = sorted(map(fgs.edges_of, fgs.pans_masks(k)), key=len)
+            grown = min_including_k_pans(build_network(n, m, e0, e0), game, k)
+            assert grown.edges == least
+            assert all(least <= other for other in others)
+            assert is_k_strong(grown, game, k).stable
+
+
+@pytest.mark.parametrize("k", [0, -2, 5])
+def test_k_strong_growth_rejects_strengths_outside_1_to_n(fig2_game, k):
+    with pytest.raises(ValidationError, match="strength"):
+        min_including_k_pans(build_network(4, 0, []), fig2_game, k)
 
 
 def test_op_counter_reports_work(fig2_game):
