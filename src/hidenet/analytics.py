@@ -412,9 +412,9 @@ def efficiency(
     k: int = 1,
 ) -> EfficiencyReport:
     """Exact welfare extremes and prices over the enumerated k-strong set."""
-    from .oracle import FeasibleGraphSet
+    from .oracle import enumerate_feasible_graphs
 
-    fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
+    fgs = enumerate_feasible_graphs(game, num_nonplayers, original_edges)
     max_sw, witness = fgs.max_welfare()
     sws = [fgs.utilities(mask).sw for mask in fgs.pans_masks(k)]
     if not sws:
@@ -522,9 +522,9 @@ def strength_equivalences(
     an element is strong iff it gives every player her maximum across the
     set; all strong elements share one utility vector; and the prices at
     strength k coincide iff the k-strong and fully-strong sets are equal."""
-    from .oracle import FeasibleGraphSet
+    from .oracle import enumerate_feasible_graphs
 
-    fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
+    fgs = enumerate_feasible_graphs(game, num_nonplayers, original_edges)
     n = game.num_players
     k_masks = fgs.pans_masks(k)
     strong_masks = set(fgs.pans_masks(n))

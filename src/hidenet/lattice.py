@@ -47,6 +47,11 @@ def join_pans(game: GameSpec, net_s: Network, net_t: Network) -> Network:
     """Smallest stable graph containing both inputs (edge union, grown)."""
     _require_pans(net_s, game, "left join operand")
     _require_pans(net_t, game, "right join operand")
+    return _join(game, net_s, net_t)
+
+
+def _join(game: GameSpec, net_s: Network, net_t: Network) -> Network:
+    """``join_pans`` on operands already known to be stable."""
     merged = net_s.with_edges(net_s.edges | net_t.edges)
     return min_including_pans(merged, game)
 
@@ -55,6 +60,11 @@ def meet_pans(game: GameSpec, net_s: Network, net_t: Network) -> Network:
     """Largest stable graph inside both inputs (edge intersection, shrunk)."""
     _require_pans(net_s, game, "left meet operand")
     _require_pans(net_t, game, "right meet operand")
+    return _meet(game, net_s, net_t)
+
+
+def _meet(game: GameSpec, net_s: Network, net_t: Network) -> Network:
+    """``meet_pans`` on operands already known to be stable."""
     # a pair added in both operands can lose every covering player here
     common = net_s.with_edges_unchecked(net_s.edges & net_t.edges)
     added = common.added_nonplayer_edges()
@@ -67,20 +77,29 @@ def bound_failures(
     game: GameSpec, num_nonplayers: int, original_edges: Iterable, sets: list[frozenset[Edge]]
 ) -> list[str]:
     """How the stable edge sets ``sets`` of an instance fail to form a
-    lattice whose joins and meets the fixpoints compute (empty if they do)."""
+    lattice whose joins and meets the fixpoints compute (empty if they do).
+
+    Each set is checked with ``is_pane`` once; a set that fails is reported
+    and the pairs are not compared, since join and meet are defined only
+    on stable operands."""
     least, greatest = min(sets, key=len), max(sets, key=len)
     if any(not least <= s or not s <= greatest for s in sets):
         return ["stable set has no least or greatest element"]
     e0 = edge_set(original_edges)
-    failures = []
-    for ea, eb in itertools.combinations(sets, 2):
-        na, nb = (build_network(game.num_players, num_nonplayers, x, e0) for x in (ea, eb))
+    nets = [build_network(game.num_players, num_nonplayers, s, e0) for s in sets]
+    failures = [
+        f"{sorted(s)} is not pairwise Nash stable"
+        for s, net in zip(sets, nets) if not is_pane(net, game)
+    ]
+    if failures:
+        return failures
+    for (ea, na), (eb, nb) in itertools.combinations(zip(sets, nets), 2):
         ups = [s for s in sets if ea | eb <= s]
         downs = [s for s in sets if s <= ea & eb]
         lub, glb = min(ups, key=len), max(downs, key=len)
-        if any(not lub <= s for s in ups) or join_pans(game, na, nb).edges != lub:
+        if any(not lub <= s for s in ups) or _join(game, na, nb).edges != lub:
             failures.append(f"join is not the LUB of {sorted(ea)} and {sorted(eb)}")
-        if any(not s <= glb for s in downs) or meet_pans(game, na, nb).edges != glb:
+        if any(not s <= glb for s in downs) or _meet(game, na, nb).edges != glb:
             failures.append(f"meet is not the GLB of {sorted(ea)} and {sorted(eb)}")
     return failures
 
@@ -115,9 +134,9 @@ def enumerate_lattice(
     inside the k-strong one.  Any disagreement raises, since it means two
     independent implementations of the model diverge.
     """
-    from .oracle import FeasibleGraphSet
+    from .oracle import enumerate_feasible_graphs
 
-    fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
+    fgs = enumerate_feasible_graphs(game, num_nonplayers, original_edges)
     masks = fgs.pans_masks(k)
     if not masks:
         raise AssertionError("stable set is empty; a stable graph always exists")

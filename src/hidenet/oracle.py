@@ -10,7 +10,19 @@ so stability and welfare questions reduce to exact integer comparisons
 point).  Inputs whose tables could leave int64 are rejected up front.  A
 coalition's deviations are scored for many masks at once, one numpy block
 per coalition; blocking pairs are found by one integer test, for all masks
-or for one.
+or for some.
+
+``enumerate_feasible_graphs`` keeps the last instance's space alive until
+an instance with other alphas, non-player count, original edges or budget
+asks for one, so the oracle-backed calls on one instance (``efficiency``,
+``strength_equivalences``, ``enumerate_lattice``, ``max_social_welfare``,
+``cross_validate``, ``exhaustive_stability``) build its tables, classify
+it and lay out each coalition's moves once.  The shared arrays are
+read-only.  With C candidate edges, the tables take 8 bytes per mask for
+each node and each player, 8 * 2^C * (2n + m + 2) bytes.  The budget
+counts every node pair, E0 included, so the default of 18 admits at most
+six nodes (C <= 15, about 4 MB); a space at C = 18 (seven nodes, three
+original edges, budget 21) holds 24 to 30 MB.
 
 The deviation semantics mirror ``moves.py`` but are re-implemented on the
 bitmask representation: the two routes share nothing except the model
@@ -19,6 +31,7 @@ definition, which is what makes cross-validation meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -80,15 +93,17 @@ class FeasibleGraphSet:
 
     ``masks`` lists the feasible masks ascending; the per-mask tables
     (``deg``, ``qu``, ``feasible`` and the flags) range over all 2^C masks.
+    Every array the space holds is read-only, since callers of
+    ``enumerate_feasible_graphs`` share one space.
     """
 
     def __init__(self, game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()):
         n, m = game.num_players, num_nonplayers
-        limit = edge_budget()
-        if candidate_edge_count(n, m) > limit:
+        limit, count = edge_budget(), candidate_edge_count(n, m)
+        if count > limit:
             raise BudgetExceededError(
-                f"{candidate_edge_count(n, m)} candidate edges exceed the "
-                f"oracle budget of {limit}"
+                f"{count} candidate edges exceed the oracle budget of {limit} "
+                f"(2^{count} = {1 << count} graphs)"
             )
         nodes = n + m
         for i, a in enumerate(game.alphas, start=1):
@@ -146,8 +161,11 @@ class FeasibleGraphSet:
         self.qu = np.zeros((n + 1, self.size), dtype=np.int64)
         for i in range(1, n + 1):
             self.qu[i] = self.q[i] * S[i] - self.p[i] * deg[i]
+        for table in (self.deg, self.feasible, self.masks, self.p, self.q, self.qu):
+            table.setflags(write=False)
         self._nash_cache: dict[int, np.ndarray] = {}
         self._pairwise: Optional[np.ndarray] = None
+        self._plans: dict[tuple[int, ...], tuple] = {}
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -180,7 +198,8 @@ class FeasibleGraphSet:
     # -- stability ------------------------------------------------------------
 
     def _move_plan(self, coalition: tuple[int, ...]) -> tuple:
-        """Bit layout of a coalition's moves: (clear, outside, choices, kept).
+        """Bit layout of a coalition's moves, built once per coalition:
+        (clear, outside, choices, kept).
 
         ``clear`` holds every member-incident edge and every candidate
         non-player pair; the move rewrites them.  Member pairs and
@@ -191,6 +210,8 @@ class FeasibleGraphSet:
         non-player pair's bit with the patterns by which an outside player
         covers it: a present pair survives such a cover.
         """
+        if coalition in self._plans:
+            return self._plans[coalition]
         n, m = self.n, self.m
         members = set(coalition)
         free = sorted(
@@ -220,7 +241,10 @@ class FeasibleGraphSet:
                 covered |= (choices & pattern) == pattern
             choices |= covered.astype(np.int64) << t
             kept.append((1 << t, [cover(i, j, l) for i in range(1, n + 1) if i not in members]))
-        return clear, sum(1 << t for t in outside), choices, kept
+        choices.setflags(write=False)
+        plan = clear, sum(1 << t for t in outside), choices, kept
+        self._plans[coalition] = plan
+        return plan
 
     def first_improving_moves(self, masks: np.ndarray, coalition: tuple[int, ...]) -> np.ndarray:
         """Per mask, the coalition's first improving move in counter order
@@ -259,14 +283,16 @@ class FeasibleGraphSet:
         return found
 
     def _blocking_pairs(
-        self, at: slice | list[int] = slice(None)
+        self, masks: Optional[np.ndarray] = None
     ) -> Iterator[tuple[int, np.ndarray]]:
         """Yield each player pair's bit, in lexicographic order, with whether
-        the pair blocks at the masks ``at`` selects (all by default): it is
-        missing, and both players weakly gain, one strictly.  The gains are
-        compared on integers, q_i * (deg_j + 1) against p_i."""
-        masks = np.arange(self.size, dtype=np.int64)[at]
-        deg = self.deg[:, at]
+        the pair blocks at ``masks`` (all 2^C by default): it is missing, and
+        both players weakly gain, one strictly.  The gains are compared on
+        integers, q_i * (deg_j + 1) against p_i."""
+        if masks is None:
+            masks, deg = np.arange(self.size, dtype=np.int64), self.deg
+        else:
+            deg = self.deg[:, masks]
         for i, j in itertools.combinations(range(1, self.n + 1), 2):
             t = self.pos[edge(i, j)]
             gi = self.q[i] * (deg[j] + 1) - self.p[i]
@@ -286,15 +312,18 @@ class FeasibleGraphSet:
             if len(live) == 0:
                 break
             flags[live[self.first_improving_moves(live, coalition) >= 0]] = False
+        flags.setflags(write=False)
         self._nash_cache[k] = flags
         return flags
 
     def pairwise_flags(self) -> np.ndarray:
         """Boolean array over all masks: no missing player pair blocks."""
         if self._pairwise is None:
-            self._pairwise = np.ones(self.size, dtype=bool)
+            flags = np.ones(self.size, dtype=bool)
             for _, blocking in self._blocking_pairs():
-                self._pairwise &= ~blocking
+                flags &= ~blocking
+            flags.setflags(write=False)
+            self._pairwise = flags
         return self._pairwise
 
     def nash_masks(self, k: int = 1) -> list[int]:
@@ -323,16 +352,27 @@ class FeasibleGraphSet:
         return Fraction(int(swL[best]), L), self.network(int(self.masks[best]))
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_space(
+    game: GameSpec, num_nonplayers: int, e0: frozenset[Edge], budget: int
+) -> FeasibleGraphSet:
+    # ``budget`` only keys the cache: under a changed budget the space is
+    # built again, so the budget is checked again
+    return FeasibleGraphSet(game, num_nonplayers, e0)
+
+
 def enumerate_feasible_graphs(
     game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()
 ) -> FeasibleGraphSet:
-    return FeasibleGraphSet(game, num_nonplayers, original_edges)
+    """The instance's space, shared with the previous call when that asked
+    for the same instance (E0 in any order) under the same budget."""
+    return _shared_space(game, num_nonplayers, edge_set(original_edges), edge_budget())
 
 
 def exhaustive_stability(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """Literal deviation search on the mask tables, with witness."""
     require_strength(k, net.num_players)
-    fgs = FeasibleGraphSet(game, net.num_nonplayers, net.original_edges)
+    fgs = enumerate_feasible_graphs(game, net.num_nonplayers, net.original_edges)
     mask = fgs.mask_of(net.edges)
     label = "PANE" if k == 1 else "k-PANE"
     one = np.array([mask], dtype=np.int64)
@@ -342,7 +382,7 @@ def exhaustive_stability(net: Network, game: GameSpec, k: int) -> StabilityVerdi
             if hit >= 0:
                 move = make_move(net, game, list(coalition), fgs.edges_of(hit))
                 return StabilityVerdict(False, label, k, move)
-    pair = next((t for t, blocking in fgs._blocking_pairs([mask]) if blocking[0]), None)
+    pair = next((t for t, blocking in fgs._blocking_pairs(one) if blocking[0]), None)
     if pair is not None:
         move = make_move(net, game, list(fgs.cand[pair]), fgs.edges_of(mask | 1 << pair))
         return StabilityVerdict(False, label, k, move)
@@ -353,7 +393,7 @@ def max_social_welfare(
     game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()
 ) -> tuple[Fraction, Network]:
     """Exact maximum social welfare over all feasible states, with witness."""
-    return FeasibleGraphSet(game, num_nonplayers, original_edges).max_welfare()
+    return enumerate_feasible_graphs(game, num_nonplayers, original_edges).max_welfare()
 
 
 @dataclass
@@ -389,7 +429,7 @@ def cross_validate(
     from .stability import is_k_strong, is_pane
 
     require_strength(max_k, game.num_players)
-    fgs = FeasibleGraphSet(game, num_nonplayers, original_edges)
+    fgs = enumerate_feasible_graphs(game, num_nonplayers, original_edges)
     disagreements: list[Disagreement] = []
     failures: list[str] = []
     pans_counts = {}

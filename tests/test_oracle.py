@@ -16,6 +16,7 @@ from hidenet import (
     cross_validate,
     efficiency,
     enumerate_feasible_graphs,
+    enumerate_lattice,
     exhaustive_stability,
     is_k_strong,
     is_pane,
@@ -158,7 +159,9 @@ def test_witness_replay_through_model(fig3_game, fig3_graphs):
     assert rebuilt.edges == move.result.edges
 
 
-def test_efficiency_and_strength_build_one_space_each(monkeypatch, fig2_game):
+def _count_builds(monkeypatch) -> list:
+    """Clear the shared space, then record every ``FeasibleGraphSet`` build."""
+    oracle._shared_space.cache_clear()
     built = []
     init = oracle.FeasibleGraphSet.__init__
 
@@ -167,9 +170,83 @@ def test_efficiency_and_strength_build_one_space_each(monkeypatch, fig2_game):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(oracle.FeasibleGraphSet, "__init__", counting_init)
+    return built
+
+
+def test_oracle_backed_calls_share_one_space(monkeypatch, fig2_game):
+    built = _count_builds(monkeypatch)
     assert efficiency(fig2_game, 0).max_sw == 18
     assert strength_equivalences(fig2_game, 0).all_hold
-    assert len(built) == 2
+    assert len(enumerate_lattice(fig2_game, 0, (), 2).elements) == 6
+    assert max_social_welfare(fig2_game, 0)[0] == 18
+    assert cross_validate(fig2_game, 0, max_k=2).clean
+    tri = build_network(4, 0, [(1, 2), (1, 3), (2, 3)])
+    assert exhaustive_stability(tri, fig2_game, 2).stable
+    assert len(built) == 1
+
+
+def test_lowered_budget_after_a_cached_build_still_raises(monkeypatch, fig2_game):
+    enumerate_feasible_graphs(fig2_game, 0)
+    monkeypatch.setenv("HIDENET_ORACLE_BUDGET", "5")
+    with pytest.raises(BudgetExceededError, match=r"\(2\^6 = 64 graphs\)$"):
+        enumerate_feasible_graphs(fig2_game, 0)
+    with pytest.raises(BudgetExceededError):
+        efficiency(fig2_game, 0)
+
+
+def test_original_edges_in_any_order_or_form_reuse_the_space(monkeypatch):
+    game = GameSpec((F(1), F(2)))
+    built = _count_builds(monkeypatch)
+    first = enumerate_feasible_graphs(game, 3, ((3, 4), (4, 5)))
+    assert enumerate_feasible_graphs(game, 3, [[5, 4], [4, 3]]) is first
+    assert enumerate_feasible_graphs(game, 3, {(4, 5), (3, 4)}) is first
+    assert len(built) == 1
+
+
+def test_a_second_instance_evicts_the_first(monkeypatch, fig2_game, example5_game):
+    built = _count_builds(monkeypatch)
+    first = enumerate_feasible_graphs(fig2_game, 0)
+    assert enumerate_feasible_graphs(example5_game, 0) is not first
+    again = enumerate_feasible_graphs(fig2_game, 0)
+    assert again is not first and len(built) == 3
+    assert again.pans_masks(1) == first.pans_masks(1)
+
+
+def test_shared_arrays_are_read_only(fig2_game):
+    fgs = enumerate_feasible_graphs(fig2_game, 0)
+    shared = [fgs.deg, fgs.qu, fgs.feasible, fgs.masks, fgs.pairwise_flags()]
+    shared += [fgs.nash_flags(k) for k in range(1, fgs.n + 1)]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 1
+    assert fgs.pans_masks(1) == enumerate_feasible_graphs(fig2_game, 0).pans_masks(1)
+
+
+def test_one_mask_blocking_pairs_match_the_whole_table():
+    for game, m, e0 in _kernel_instances():
+        fgs = enumerate_feasible_graphs(game, m, e0)
+        whole = [(t, blocking) for t, blocking in fgs._blocking_pairs()]
+        for mask in map(int, fgs.masks):
+            one = fgs._blocking_pairs(np.array([mask], dtype=np.int64))
+            assert [(t, bool(b[0])) for t, b in one] == [(t, bool(b[mask])) for t, b in whole]
+
+
+def test_cross_validate_reports_an_element_that_fails_is_pane(monkeypatch, fig2_game):
+    from hidenet import lattice
+
+    greatest = frozenset(complete_edges(4))
+    checked = []
+
+    def rejecting(net, game):
+        checked.append(net.edges)
+        return is_pane(net, game) and net.edges != greatest
+
+    monkeypatch.setattr(lattice, "is_pane", rejecting)
+    report = cross_validate(fig2_game, 0)
+    assert not report.clean
+    assert report.algorithm_failures == [f"{sorted(greatest)} is not pairwise Nash stable"]
+    # one check per element, none per pair
+    assert len(checked) == len(set(checked)) == report.pans_counts[1]
 
 
 # -- int64 input bound ------------------------------------------------------------
