@@ -14,6 +14,7 @@ floating point is never used.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -123,37 +124,44 @@ class Network:
         return 1 <= v <= self.num_players
 
     @cached_property
-    def _index(self) -> tuple[dict[int, frozenset[int]], dict[int, list[Edge]], Counter]:
-        """Adjacency sets, the added non-player pairs keyed by their only
-        covering player, and counts of those by (non-player, player)."""
-        adj: dict[int, set[int]] = {v: set() for v in self.nodes}
+    def _index(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]], Counter]:
+        """Sorted neighbour tuples indexed by node (slot 0 empty), the added
+        non-player pairs keyed by their only covering player, and counts of
+        those by (non-player, player)."""
+        adj: list[list[int]] = [[] for _ in range(self.num_nodes + 1)]
         for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        nbrs = {v: frozenset(s) for v, s in adj.items()}
+            adj[a].append(b)
+            adj[b].append(a)
+        for s in adj:
+            s.sort()
+        nbrs = tuple(map(tuple, adj))
         sole: dict[int, list[Edge]] = {}
         for j, l in sorted(self.added_nonplayer_edges()):
-            cover = [i for i in nbrs[j] & nbrs[l] if i <= self.num_players]
+            cover = _common_players(nbrs[j], nbrs[l], self.num_players)
             if len(cover) == 1:
                 sole.setdefault(cover[0], []).append((j, l))
         if not sole:
             return (nbrs, *_NONE_SOLE)
         return nbrs, sole, Counter((j, i) for i, es in sole.items() for e in es for j in e)
 
-    def neighbours(self, v: int) -> frozenset[int]:
-        try:
-            return self._index[0][v]
-        except KeyError:
-            raise ValidationError(f"unknown node {v}") from None
+    def neighbours(self, v: int) -> tuple[int, ...]:
+        """v's neighbours, ascending (players first)."""
+        if v > 0:  # a negative index would wrap silently
+            try:
+                return self._index[0][v]
+            except IndexError:
+                pass
+        raise ValidationError(f"unknown node {v}")
 
     def degree(self, v: int) -> int:
         return len(self.neighbours(v))
 
     def nonplayer_neighbours(self, v: int) -> list[int]:
-        return sorted(u for u in self.neighbours(v) if not self.is_player(u))
+        nbrs = self.neighbours(v)
+        return list(nbrs[bisect_right(nbrs, self.num_players):])
 
     def player_degree(self, v: int) -> int:
-        return sum(1 for u in self.neighbours(v) if self.is_player(u))
+        return bisect_right(self.neighbours(v), self.num_players)
 
     @property
     def added_edges(self) -> frozenset[Edge]:
@@ -164,9 +172,9 @@ class Network:
             e for e in self.added_edges if not self.is_player(e[0]) and not self.is_player(e[1])
         )
 
-    def common_player_neighbours(self, j: int, l: int) -> frozenset[int]:
-        common = self._index[0][j] & self._index[0][l]
-        return frozenset(i for i in common if i <= self.num_players)
+    def common_player_neighbours(self, j: int, l: int) -> tuple[int, ...]:
+        """Players adjacent to both j and l, ascending."""
+        return tuple(_common_players(self.neighbours(j), self.neighbours(l), self.num_players))
 
     def with_edges_unchecked(self, edges: Iterable[Edge]) -> "Network":
         """An unvalidated copy with another edge set and no sustainers, for
@@ -188,6 +196,11 @@ class Network:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
+
+
+def _common_players(a: tuple[int, ...], b: tuple[int, ...], num_players: int) -> list[int]:
+    """The players, ascending, in both of two sorted neighbour tuples."""
+    return [i for i in a[: bisect_right(a, num_players)] if i in b]
 
 
 def canonical_sustainers(

@@ -20,12 +20,16 @@ search uses the survive-only closure.
 search runs it over every adjacency choice, the k-strong growth over the
 pure additions among them.
 
-The coalition search evaluates full ``Fraction`` utility vectors.  The
-fast route (the structural checker and the fixpoints) scores the moving
-player alone, on integers: with alpha_i = p_i / q_i it compares q_i * dS_i
-with p_i * d deg(i), S_i being the sum of her neighbours' degrees.  Her
-deletion bundles are searched only if she alone covers an added
-non-player pair; otherwise her drop scores add up (complementarity).
+Both routes compare integers: with alpha_i = p_i / q_i, q_i * u_i is
+q_i * S_i - p_i * deg(i), S_i being the sum of her neighbours' degrees.
+The coalition search scores each member so on the edge sets before and
+after a move (:func:`member_scores`, which reads nothing cached on the
+network), and builds ``Fraction`` gains only for the witness it returns.
+The fast route (the structural checker and the fixpoints) scores the
+moving player alone, from marginals: it compares q_i * dS_i with
+p_i * d deg(i).  Her deletion bundles are searched only if she alone
+covers an added non-player pair; otherwise her drop scores add up
+(complementarity).
 """
 
 from __future__ import annotations
@@ -34,19 +38,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .model import (
     Edge,
     GameSpec,
     Network,
-    UtilityVector,
     build_network,
     edge,
     sole_cover_count,
     sole_covered_pairs,
-    utilities_from_edges,
 )
 
 DEFAULT_MOVE_BUDGET = 2_000_000
@@ -141,17 +143,43 @@ def coalition_adjacency_choices(
         yield frozenset(fixed | chosen)
 
 
+def member_scores(
+    edges: Collection[Edge], game: GameSpec, members: Sequence[int], num_nodes: int
+) -> list[int]:
+    """q_i * u_i for each member i of an arbitrary edge set, as integers:
+    q_i * S_i - p_i * deg(i), S_i being the sum of her neighbours' degrees.
+    Read off the edge set alone, like ``model.utilities_from_edges``."""
+    deg = [0] * (num_nodes + 1)
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    S = dict.fromkeys(members, 0)
+    for a, b in edges:
+        if a in S:
+            S[a] += deg[b]
+        if b in S:
+            S[b] += deg[a]
+    scores = []
+    for i in members:
+        p, q = game.ratio(i)
+        scores.append(q * S[i] - p * deg[i])
+    return scores
+
+
 def make_move(
     net: Network, game: GameSpec, coalition: Sequence[int], new_edges: frozenset[Edge]
 ) -> DeviationMove:
     result = build_network(
         net.num_players, net.num_nonplayers, new_edges, net.original_edges
     )
-    base = utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
-    after = utilities_from_edges(net.num_players, net.num_nodes, new_edges, game.alphas)
-    deltas = {i: after.of(i) - base.of(i) for i in sorted(coalition)}
+    members = sorted(coalition)
+    base = member_scores(net.edges, game, members, net.num_nodes)
+    after = member_scores(new_edges, game, members, net.num_nodes)
+    deltas = {
+        i: Fraction(a - b, game.ratio(i)[1]) for i, b, a in zip(members, base, after)
+    }
     return DeviationMove(
-        coalition=tuple(sorted(coalition)),
+        coalition=tuple(members),
         deleted_edges=net.edges - new_edges,
         added_edges=new_edges - net.edges,
         result=result,
@@ -190,17 +218,15 @@ def first_coalition_move(
     covers interconnected.  Closure keeps the adjacency as the
     player-incident part, so distinct choices never repeat a move.
     """
-    base = utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
     for size in range(1, min(k, net.num_players) + 1):
         for coalition in itertools.combinations(net.players, size):
+            base = member_scores(net.edges, game, coalition, net.num_nodes)
             for adjacency in choices(net, coalition):
                 new_edges = closure(net, coalition, adjacency, allow_new=True)
                 if new_edges == net.edges:
                     continue
-                after = utilities_from_edges(
-                    net.num_players, net.num_nodes, new_edges, game.alphas
-                )
-                if improves_all(base, after, coalition):
+                after = member_scores(new_edges, game, coalition, net.num_nodes)
+                if improves_all(base, after):
                     return coalition, new_edges
     return None
 
@@ -222,9 +248,10 @@ def improving_coalition_move(
     return None if found is None else found[1]
 
 
-def improves_all(base: UtilityVector, after: UtilityVector, members: Sequence[int]) -> bool:
-    """Whether every member weakly gains from ``base`` to ``after``, one strictly."""
-    deltas = [after.of(i) - base.of(i) for i in members]
+def improves_all(base: Sequence[int], after: Sequence[int]) -> bool:
+    """Whether every member weakly gains from ``base`` to ``after`` (their
+    scores, in one order), one strictly."""
+    deltas = [a - b for b, a in zip(base, after)]
     return min(deltas) >= 0 and max(deltas) > 0
 
 
@@ -285,7 +312,9 @@ def improving_pure_deletion(
     loss = {j: q * net.degree(j) - p for e in pairs for j in e}
     bundle = _smallest_min_cut_side(loss, pairs, q)
     cut = sum((a in bundle) != (b in bundle) for a, b in pairs)
-    free = {j for j in net.neighbours(i) - loss.keys() if drop_score(net, game, i, j) > 0}
+    free = {
+        j for j in net.neighbours(i) if j not in loss and drop_score(net, game, i, j) > 0
+    }
     if not free and sum(loss[j] for j in bundle) + q * cut >= 0:
         return None
     return pure_deletion(net, i, free | bundle)

@@ -20,9 +20,8 @@ asks for one, so the oracle-backed calls on one instance (``efficiency``,
 it and lay out each coalition's moves once.  The shared arrays are
 read-only.  With C candidate edges, the tables take 8 bytes per mask for
 each node and each player, 8 * 2^C * (2n + m + 2) bytes.  The budget
-counts every node pair, E0 included, so the default of 18 admits at most
-six nodes (C <= 15, about 4 MB); a space at C = 18 (seven nodes, three
-original edges, budget 21) holds 24 to 30 MB.
+bounds C, the pairs outside E0, so the default of 18 admits a space of
+24 to 30 MB (C = 15 takes about 4 MB).
 
 The deviation semantics mirror ``moves.py`` but are re-implemented on the
 bitmask representation: the two routes share nothing except the model
@@ -99,7 +98,15 @@ class FeasibleGraphSet:
 
     def __init__(self, game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()):
         n, m = game.num_players, num_nonplayers
-        limit, count = edge_budget(), candidate_edge_count(n, m)
+        self.e0 = edge_set(original_edges)
+        for a, b in self.e0:
+            if a <= n or b <= n:
+                raise ValidationError(f"original edge ({a}, {b}) touches a player")
+            if b > n + m:
+                raise ValidationError(f"original edge ({a}, {b}) references unknown nodes")
+        cand = [edge(i, j) for i, j in itertools.combinations(range(1, n + m + 1), 2)]
+        self.cand = [e for e in cand if e not in self.e0]
+        limit, count = edge_budget(), len(self.cand)
         if count > limit:
             raise BudgetExceededError(
                 f"{count} candidate edges exceed the oracle budget of {limit} "
@@ -113,12 +120,6 @@ class FeasibleGraphSet:
             )
         self.game = game
         self.n, self.m = n, m
-        self.e0 = edge_set(original_edges)
-        for a, b in self.e0:
-            if a <= n or b <= n:
-                raise ValidationError(f"original edge ({a}, {b}) touches a player")
-        cand = [edge(i, j) for i, j in itertools.combinations(range(1, n + m + 1), 2)]
-        self.cand = [e for e in cand if e not in self.e0]
         self.pos = {e: t for t, e in enumerate(self.cand)}
         self.np_pairs = [e for e in self.cand if e[0] > n and e[1] > n]
         self.size = 1 << len(self.cand)

@@ -207,9 +207,9 @@ def is_k_strong(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """
     label = "PANE" if k == 1 else "k-PANE"
     nash = is_k_nash(net, game, k)
-    pair = blocking_pair(net, game)
     if not nash.stable:
         return StabilityVerdict(False, label, k, nash.witness)
+    pair = blocking_pair(net, game)
     if pair is not None:
         if k >= 2:
             raise AssertionError(

@@ -183,3 +183,15 @@ def test_single_edge_addition_changes_degrees_and_sw():
 def test_utilities_from_edges_matches_network_utility(example1):
     net, game = example1
     assert utilities_from_edges(2, 5, net.edges, game.alphas) == utility(net, game)
+
+
+def test_neighbours_are_a_sorted_tuple_and_unknown_nodes_raise(example1):
+    net, _ = example1
+    assert net.neighbours(1) == (2, 3, 4)
+    assert net.neighbours(3) == (1, 4)
+    assert net.neighbours(5) == (2,)
+    assert build_network(2, 1, [(1, 2)]).neighbours(3) == ()
+    # tuple indexing would wrap -1 and reach the unused slot 0 silently
+    for v in (0, -1, net.num_nodes + 1):
+        with pytest.raises(ValidationError, match=f"unknown node {v}"):
+            net.neighbours(v)

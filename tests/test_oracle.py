@@ -71,6 +71,20 @@ def test_budget_guard(monkeypatch):
         enumerate_feasible_graphs(game, 2)
 
 
+def test_budget_counts_only_the_pairs_outside_e0(monkeypatch):
+    # 21 node pairs, three of them original: 2^18 graphs, within the default
+    game, e0 = GameSpec([F(1)] * 4), [(5, 6), (5, 7), (6, 7)]
+    assert len(oracle.FeasibleGraphSet(game, 3, e0).cand) == 18
+    monkeypatch.setenv("HIDENET_ORACLE_BUDGET", "17")
+    with pytest.raises(BudgetExceededError, match=r"\(2\^18 = 262144 graphs\)$"):
+        oracle.FeasibleGraphSet(game, 3, e0)
+    # E0 is validated before the budget is checked
+    with pytest.raises(ValidationError, match="touches a player"):
+        oracle.FeasibleGraphSet(game, 3, [(1, 5)])
+    with pytest.raises(ValidationError, match="unknown nodes"):
+        oracle.FeasibleGraphSet(game, 0, [(5, 6)])
+
+
 def test_budget_env_override(monkeypatch, fig2_game):
     monkeypatch.setenv("HIDENET_ORACLE_BUDGET", "3")
     with pytest.raises(BudgetExceededError):

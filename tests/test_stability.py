@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +14,18 @@ from hidenet import (
     is_pane,
     utility,
 )
-from hidenet.model import resulting_network, minimal_profile
+from hidenet.model import minimal_profile, resulting_network, utilities_from_edges
+from hidenet.moves import (
+    closure,
+    coalition_additions,
+    coalition_adjacency_choices,
+    first_coalition_move,
+    make_move,
+)
+from hidenet.oracle import FeasibleGraphSet, candidate_edge_count
 from hidenet.stability import ADDITIONS, CONDITIONS, DELETIONS
+
+from conftest import random_instance
 
 
 def test_example1_not_an_equilibrium(example1):
@@ -176,3 +188,52 @@ def test_conditions_table_orders_is_pane_and_the_entry_checks():
         "set-deletion",
     ]
     assert sorted(DELETIONS + ADDITIONS) == sorted(CONDITIONS)
+
+
+def _fraction_first_move(net, game, k, choices):
+    """Reference coalition loop on ``Fraction`` utility vectors."""
+    def utilities(edges):
+        return utilities_from_edges(net.num_players, net.num_nodes, edges, game.alphas)
+
+    base = utilities(net.edges)
+    for size in range(1, min(k, net.num_players) + 1):
+        for coalition in itertools.combinations(net.players, size):
+            for adjacency in choices(net, coalition):
+                new_edges = closure(net, coalition, adjacency, allow_new=True)
+                if new_edges == net.edges:
+                    continue
+                after = utilities(new_edges)
+                deltas = [after.of(i) - base.of(i) for i in coalition]
+                if min(deltas) >= 0 and max(deltas) > 0:
+                    return coalition, new_edges
+    return None
+
+
+def test_integer_coalition_scores_match_fraction_utilities():
+    rng = random.Random(12)
+    big = 10**9 + 7
+    checked = moved = 0
+    for trial in range(80):
+        game, m, e0 = random_instance(rng)
+        if candidate_edge_count(game.num_players, m) - len(e0) > 10:
+            continue
+        if trial % 4 == 3:  # large p/q, just either side of an integer or on it
+            game = GameSpec([F(rng.randint(1, 6) * big + rng.choice([-1, 0, 1]), big)
+                             for _ in game.alphas])
+        fgs = FeasibleGraphSet(game, m, e0)
+        masks = rng.sample(list(map(int, fgs.masks)), min(4, len(fgs))) + fgs.pans_masks(1)[:1]
+        for mask in masks:
+            net = fgs.network(mask)
+            for k in net.players:
+                for choices in (coalition_adjacency_choices, coalition_additions):
+                    found = first_coalition_move(net, game, k, choices)
+                    assert found == _fraction_first_move(net, game, k, choices)
+                    checked += 1
+                    if found is None:
+                        continue
+                    moved += 1
+                    coalition, new_edges = found
+                    move = make_move(net, game, coalition, new_edges)
+                    base, after = utility(net, game), utility(move.result, game)
+                    assert move.deltas == {i: after.of(i) - base.of(i) for i in coalition}
+    assert moved and moved < checked
