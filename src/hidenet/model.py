@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -78,12 +78,13 @@ class GameSpec:
         return self.alphas[i - 1]
 
     @cached_property
-    def _ratios(self) -> tuple[tuple[int, int], ...]:
+    def ratios(self) -> tuple[tuple[int, int], ...]:
+        """Every alpha_i as (p_i, q_i), player i at index i - 1."""
         return tuple((a.numerator, a.denominator) for a in self.alphas)
 
     def ratio(self, i: int) -> tuple[int, int]:
         """alpha_i as (p_i, q_i), for scores compared on integers."""
-        return self._ratios[i - 1]
+        return self.ratios[i - 1]
 
 
 @dataclass(frozen=True)
@@ -315,28 +316,40 @@ class UtilityVector:
         return self.per_player[i - 1]
 
 
-def utilities_from_edges(
-    num_players: int, num_nodes: int, edges: Iterable[Edge], alphas: Sequence[Fraction]
-) -> UtilityVector:
-    """Utilities of an arbitrary edge set, without feasibility checks.
+def scaled_utilities(
+    edges: Collection[Edge],
+    num_nodes: int,
+    ratios: Sequence[tuple[int, int]],
+    members: Iterable[int],
+) -> list[int]:
+    """q_i * u_i for each member i of an arbitrary edge set, as integers:
+    q_i * S_i - p_i * deg(i), with (p_i, q_i) = ``ratios[i - 1]`` and S_i
+    the sum of i's neighbours' degrees.
 
     Utility depends on the graph alone, so this is also the evaluation core
-    for hypothetical states inside deviation and welfare searches.
+    for hypothetical states inside deviation and welfare searches.  It runs
+    no feasibility check and reads nothing cached on a network.
     """
     deg = [0] * (num_nodes + 1)
-    nbrs: list[list[int]] = [[] for _ in range(num_players + 1)]
     for a, b in edges:
         deg[a] += 1
         deg[b] += 1
-        if a <= num_players:
-            nbrs[a].append(b)
-        if b <= num_players:
-            nbrs[b].append(a)
-    per = tuple(
-        Fraction(sum(deg[x] for x in nbrs[i])) - alphas[i - 1] * deg[i]
-        for i in range(1, num_players + 1)
-    )
-    return UtilityVector(per)
+    S = dict.fromkeys(members, 0)
+    for a, b in edges:
+        if a in S:
+            S[a] += deg[b]
+        if b in S:
+            S[b] += deg[a]
+    return [ratios[i - 1][1] * s - ratios[i - 1][0] * deg[i] for i, s in S.items()]
+
+
+def utilities_from_edges(
+    num_players: int, num_nodes: int, edges: Collection[Edge], alphas: Sequence[Fraction]
+) -> UtilityVector:
+    """Utilities of an arbitrary edge set, without feasibility checks."""
+    ratios = [(a.numerator, a.denominator) for a in alphas]
+    scores = scaled_utilities(edges, num_nodes, ratios, range(1, num_players + 1))
+    return UtilityVector(tuple(Fraction(s, q) for s, (_, q) in zip(scores, ratios)))
 
 
 def utility(net: Network, game: GameSpec) -> UtilityVector:

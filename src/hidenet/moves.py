@@ -23,8 +23,9 @@ pure additions among them.
 Both routes compare integers: with alpha_i = p_i / q_i, q_i * u_i is
 q_i * S_i - p_i * deg(i), S_i being the sum of her neighbours' degrees.
 The coalition search scores each member so on the edge sets before and
-after a move (:func:`member_scores`, which reads nothing cached on the
-network), and builds ``Fraction`` gains only for the witness it returns.
+after a move (:func:`model.scaled_utilities`, which reads nothing cached
+on the network), and builds ``Fraction`` gains only for the witness it
+returns.
 The fast route (the structural checker and the fixpoints) scores the
 moving player alone, from marginals: it compares q_i * dS_i with
 p_i * d deg(i).  Her deletion bundles are searched only if she alone
@@ -38,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .model import (
@@ -47,6 +48,7 @@ from .model import (
     Network,
     build_network,
     edge,
+    scaled_utilities,
     sole_cover_count,
     sole_covered_pairs,
 )
@@ -143,29 +145,6 @@ def coalition_adjacency_choices(
         yield frozenset(fixed | chosen)
 
 
-def member_scores(
-    edges: Collection[Edge], game: GameSpec, members: Sequence[int], num_nodes: int
-) -> list[int]:
-    """q_i * u_i for each member i of an arbitrary edge set, as integers:
-    q_i * S_i - p_i * deg(i), S_i being the sum of her neighbours' degrees.
-    Read off the edge set alone, like ``model.utilities_from_edges``."""
-    deg = [0] * (num_nodes + 1)
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    S = dict.fromkeys(members, 0)
-    for a, b in edges:
-        if a in S:
-            S[a] += deg[b]
-        if b in S:
-            S[b] += deg[a]
-    scores = []
-    for i in members:
-        p, q = game.ratio(i)
-        scores.append(q * S[i] - p * deg[i])
-    return scores
-
-
 def make_move(
     net: Network, game: GameSpec, coalition: Sequence[int], new_edges: frozenset[Edge]
 ) -> DeviationMove:
@@ -173,8 +152,8 @@ def make_move(
         net.num_players, net.num_nonplayers, new_edges, net.original_edges
     )
     members = sorted(coalition)
-    base = member_scores(net.edges, game, members, net.num_nodes)
-    after = member_scores(new_edges, game, members, net.num_nodes)
+    base = scaled_utilities(net.edges, net.num_nodes, game.ratios, members)
+    after = scaled_utilities(new_edges, net.num_nodes, game.ratios, members)
     deltas = {
         i: Fraction(a - b, game.ratio(i)[1]) for i, b, a in zip(members, base, after)
     }
@@ -218,14 +197,15 @@ def first_coalition_move(
     covers interconnected.  Closure keeps the adjacency as the
     player-incident part, so distinct choices never repeat a move.
     """
+    scores = scaled_utilities(net.edges, net.num_nodes, game.ratios, net.players)
     for size in range(1, min(k, net.num_players) + 1):
         for coalition in itertools.combinations(net.players, size):
-            base = member_scores(net.edges, game, coalition, net.num_nodes)
+            base = [scores[i - 1] for i in coalition]
             for adjacency in choices(net, coalition):
                 new_edges = closure(net, coalition, adjacency, allow_new=True)
                 if new_edges == net.edges:
                     continue
-                after = member_scores(new_edges, game, coalition, net.num_nodes)
+                after = scaled_utilities(new_edges, net.num_nodes, game.ratios, coalition)
                 if improves_all(base, after):
                     return coalition, new_edges
     return None

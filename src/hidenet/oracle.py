@@ -104,13 +104,14 @@ class FeasibleGraphSet:
                 raise ValidationError(f"original edge ({a}, {b}) touches a player")
             if b > n + m:
                 raise ValidationError(f"original edge ({a}, {b}) references unknown nodes")
-        cand = [edge(i, j) for i, j in itertools.combinations(range(1, n + m + 1), 2)]
-        self.cand = [e for e in cand if e not in self.e0]
-        limit, count = edge_budget(), len(self.cand)
+        # exact: the validated E0 pairs are distinct non-player pairs in range
+        limit, count = edge_budget(), candidate_edge_count(n, m) - len(self.e0)
         if count > limit:
+            # spell 2^count out only while it is short to compute and print
+            graphs = f"2^{count} = {1 << count}" if count <= 64 else f"2^{count}"
             raise BudgetExceededError(
                 f"{count} candidate edges exceed the oracle budget of {limit} "
-                f"(2^{count} = {1 << count} graphs)"
+                f"({graphs} graphs)"
             )
         nodes = n + m
         for i, a in enumerate(game.alphas, start=1):
@@ -120,6 +121,8 @@ class FeasibleGraphSet:
             )
         self.game = game
         self.n, self.m = n, m
+        cand = [edge(i, j) for i, j in itertools.combinations(range(1, n + m + 1), 2)]
+        self.cand = [e for e in cand if e not in self.e0]
         self.pos = {e: t for t, e in enumerate(self.cand)}
         self.np_pairs = [e for e in self.cand if e[0] > n and e[1] > n]
         self.size = 1 << len(self.cand)

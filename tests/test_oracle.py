@@ -85,6 +85,12 @@ def test_budget_counts_only_the_pairs_outside_e0(monkeypatch):
         oracle.FeasibleGraphSet(game, 0, [(5, 6)])
 
 
+def test_budget_refuses_a_huge_instance_before_listing_its_pairs():
+    # 5 * 10^11 node pairs: listing them, or printing 2^count, would not finish
+    with pytest.raises(BudgetExceededError, match=r"\(2\^500001500001 graphs\)$"):
+        oracle.FeasibleGraphSet(GameSpec([1, 1]), 10**6)
+
+
 def test_budget_env_override(monkeypatch, fig2_game):
     monkeypatch.setenv("HIDENET_ORACLE_BUDGET", "3")
     with pytest.raises(BudgetExceededError):
