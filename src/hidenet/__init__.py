@@ -10,18 +10,10 @@ from .model import (
     Edge,
     GameSpec,
     Network,
-    PlayerStrategy,
-    StrategyProfile,
     UtilityVector,
     build_network,
     degrees,
-    effective_degree,
-    is_minimal_profile,
-    minimal_profile,
-    resulting_network,
-    social_welfare,
     utility,
-    validate_network,
 )
 from .moves import DeviationMove
 from .stability import StabilityVerdict, is_k_nash, is_k_strong, is_nash_stable, is_pane

@@ -65,29 +65,38 @@ class ClosedFormResult:
     welfare: Fraction
 
 
-def _settle_ties(
-    result: ClosedFormResult, game: GameSpec, num_nonplayers: int, original_edges, grow: bool
+def _clique_form(
+    game: GameSpec,
+    num_nonplayers: int,
+    original_edges,
+    threshold: int,
+    ranked_in: list[tuple[Fraction, int]],
+    grow: bool,
 ) -> ClosedFormResult:
-    """Defer to the constructive fixpoint when the predicted shape admits a
-    blocking player pair.
+    """The clique of the ``ranked_in`` (alpha, label) players and every
+    non-player, or no clique when no player joins, and its welfare.
 
     The threshold formulas assume joining is strictly attractive or
     strictly repellent; when an alpha equals a post-addition degree
     exactly, an indifferent node can still be pulled in by a strictly
     gaining partner and the clean clique prediction under- or over-shoots.
-    The fixpoint is authoritative there.
+    When it admits a blocking player pair, the fixpoint (the least one
+    when ``grow``) is authoritative.
     """
-    if blocking_pair(result.predicted, game) is None:
-        return result
+    n, m = game.num_players, num_nonplayers
+    members = frozenset()
+    if ranked_in:
+        members = frozenset(label for _, label in ranked_in) | frozenset(range(n + 1, n + m + 1))
+    predicted = _clique_network(game, m, members, original_edges)
+    if blocking_pair(predicted, game) is None:
+        size = len(ranked_in) + m - 1
+        welfare = Fraction(size) * sum((size - a for a, _ in ranked_in), Fraction(0))
+        return ClosedFormResult(threshold, members, predicted, welfare)
     from .lattice import greatest_pans, least_pans
 
-    if grow:
-        settled = least_pans(game, num_nonplayers, original_edges)
-    else:
-        settled = greatest_pans(game, num_nonplayers, original_edges)
+    settled = (least_pans if grow else greatest_pans)(game, num_nonplayers, original_edges)
     members = frozenset(v for v in settled.nodes if settled.degree(v) > 0)
-    welfare = utility(settled, game).sw
-    return ClosedFormResult(result.threshold_index, members, settled, welfare)
+    return ClosedFormResult(threshold, members, settled, utility(settled, game).sw)
 
 
 def greatest_closed_form(
@@ -105,17 +114,7 @@ def greatest_closed_form(
     for i in range(1, n + 1):
         if i + m - 1 >= ranked[i - 1][0]:
             p = i
-    if p == 0:
-        predicted = build_network(n, m, original_edges, original_edges)
-        result = ClosedFormResult(0, frozenset(), predicted, Fraction(0))
-    else:
-        players_in = frozenset(label for _, label in ranked[:p])
-        members = players_in | frozenset(range(n + 1, n + m + 1))
-        predicted = _clique_network(game, m, members, original_edges)
-        size = p + m - 1
-        welfare = Fraction(size) * sum((size - a for a, _ in ranked[:p]), Fraction(0))
-        result = ClosedFormResult(p, members, predicted, welfare)
-    return _settle_ties(result, game, num_nonplayers, original_edges, grow=False)
+    return _clique_form(game, m, original_edges, p, ranked[:p], grow=False)
 
 
 def least_closed_form(
@@ -129,17 +128,7 @@ def least_closed_form(
         if ranked[i - 1][0] >= max(1, i + m - 1):
             q = i
             break
-    if q == 1:
-        predicted = build_network(n, m, original_edges, original_edges)
-        result = ClosedFormResult(1, frozenset(), predicted, Fraction(0))
-    else:
-        players_in = frozenset(label for _, label in ranked[: q - 1])
-        members = players_in | frozenset(range(n + 1, n + m + 1))
-        predicted = _clique_network(game, m, members, original_edges)
-        size = q + m - 2
-        welfare = Fraction(size) * sum((size - a for a, _ in ranked[: q - 1]), Fraction(0))
-        result = ClosedFormResult(q, members, predicted, welfare)
-    return _settle_ties(result, game, num_nonplayers, original_edges, grow=True)
+    return _clique_form(game, m, original_edges, q, ranked[: q - 1], grow=True)
 
 
 # -- equal alphas --------------------------------------------------------------

@@ -72,11 +72,15 @@ def _edge_line(tokens: list[str], lineno: int) -> Edge:
     return a, b
 
 
-def _sustainer_line(tokens: list[str], lineno: int) -> tuple[Edge, int]:
+def _sustainer_line(tokens: list[str], lineno: int, sustainers: dict[Edge, int]) -> None:
+    """Record a 'j l k' line in ``sustainers``; a pair may be given once."""
     if len(tokens) != 3:
         raise GameFileError("sustainer lines are 'j l k'", lineno)
     j, l, k = (_int(t, lineno) for t in tokens)
-    return ((j, l) if j < l else (l, j)), k
+    key = (j, l) if j < l else (l, j)
+    if key in sustainers:
+        raise GameFileError(f"repeated sustainer for pair {key}", lineno)
+    sustainers[key] = k
 
 
 def parse_game_file(text: str) -> tuple[Network, GameSpec]:
@@ -104,8 +108,7 @@ def parse_game_file(text: str) -> tuple[Network, GameSpec]:
             saw_edges = saw_edges or section == "edges"
             (edges if section == "edges" else original).append(_edge_line(tokens, lineno))
         elif section == "sustainers":
-            key, k = _sustainer_line(tokens, lineno)
-            sustainers[key] = k
+            _sustainer_line(tokens, lineno, sustainers)
         elif section == "nodes":
             raise GameFileError("[nodes] belongs to standalone graph files", lineno)
     if not players:
@@ -133,8 +136,7 @@ def parse_graph_file(text: str, base: Network) -> Network:
         if section == "edges":
             edges.append(_edge_line(tokens, lineno))
         elif section == "sustainers":
-            key, k = _sustainer_line(tokens, lineno)
-            sustainers[key] = k
+            _sustainer_line(tokens, lineno, sustainers)
         else:
             raise GameFileError(f"graph files only carry [edges]/[sustainers]", lineno)
     return build_network(
@@ -154,6 +156,8 @@ def parse_plain_graph(text: str) -> tuple[int, list[Edge]]:
         if section == "nodes":
             if len(tokens) != 1:
                 raise GameFileError("[nodes] holds a single count", lineno)
+            if num_nodes is not None:
+                raise GameFileError("repeated [nodes] count", lineno)
             num_nodes = _int(tokens[0], lineno)
         elif section == "edges":
             edges.append(_edge_line(tokens, lineno))

@@ -10,6 +10,9 @@ which may only join non-players.  Player utility is
 with alpha_i an exact rational, so every stability question reduces to
 exact integer/rational comparisons; ties are semantically meaningful and
 floating point is never used.
+
+The package works on graphs; the game's literal strategy layer lives in
+``tests/strategic.py``, which checks the move convention of ``moves``.
 """
 
 from __future__ import annotations
@@ -92,11 +95,9 @@ class Network:
     """An immutable graph state of the hiders' game.
 
     ``edges`` always contains ``original_edges``.  Every added edge between
-    two non-players carries a sustainer: the player whose interconnect
-    action keeps it alive under the minimal-profile convention.  Sustainer
-    attribution is metadata for :func:`effective_degree` and
-    :func:`minimal_profile`; utilities and stability verdicts never depend
-    on it.
+    two non-players carries a sustainer: a player adjacent to both ends,
+    named in game and graph files.  Sustainers are input/output metadata
+    only: utilities, stability verdicts and every move ignore them.
     """
 
     num_players: int
@@ -275,30 +276,6 @@ def build_network(
     return Network(n, m, e0, es, sus)
 
 
-def validate_network(raw, game: Optional[GameSpec] = None) -> Network:
-    """Validate raw network data (a Network or a mapping of its fields).
-
-    With a game, also cross-checks the alpha count against the player set.
-    """
-    if isinstance(raw, Network):
-        net = build_network(
-            raw.num_players, raw.num_nonplayers, raw.edges, raw.original_edges, raw.sustainers
-        )
-    else:
-        net = build_network(
-            raw["num_players"],
-            raw["num_nonplayers"],
-            raw.get("edges", ()),
-            raw.get("original_edges", ()),
-            raw.get("sustainers"),
-        )
-    if game is not None and game.num_players != net.num_players:
-        raise ValidationError(
-            f"game has {game.num_players} alphas but network has {net.num_players} players"
-        )
-    return net
-
-
 def degrees(net: Network, node: int) -> tuple[int, int]:
     """(degree, player degree) of a node."""
     return net.degree(node), net.player_degree(node)
@@ -352,29 +329,17 @@ def utilities_from_edges(
     return UtilityVector(tuple(Fraction(s, q) for s, (_, q) in zip(scores, ratios)))
 
 
-def utility(net: Network, game: GameSpec) -> UtilityVector:
+def require_alpha_count(net: Network, game: GameSpec) -> None:
+    """A game must give one alpha per player of the network."""
     if game.num_players != net.num_players:
-        raise ValidationError("alpha count does not match the player set")
+        raise ValidationError(
+            f"game has {game.num_players} alphas but network has {net.num_players} players"
+        )
+
+
+def utility(net: Network, game: GameSpec) -> UtilityVector:
+    require_alpha_count(net, game)
     return utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
-
-
-def social_welfare(net: Network, game: GameSpec) -> Fraction:
-    return utility(net, game).sw
-
-
-def effective_degree(net: Network, j: int, k: int) -> int:
-    """Number of k's neighbours that k alone interconnects with j.
-
-    Counts added non-player edges (j, l) whose sustainer is k.  This is
-    attribution metadata under the minimal-profile convention; deletion
-    marginals in the stability code use :func:`sole_cover_count` instead,
-    which is attribution-free.
-    """
-    if net.is_player(j):
-        raise ValidationError(f"effective degree is defined for non-players, got player {j}")
-    if not net.is_player(k):
-        raise ValidationError(f"effective degree needs a player as second argument, got {k}")
-    return sum(1 for e, s in net.sustainers.items() if s == k and j in e)
 
 
 def sole_cover_count(net: Network, j: int, i: int) -> int:
@@ -389,86 +354,3 @@ def sole_cover_count(net: Network, j: int, i: int) -> int:
 def sole_covered_pairs(net: Network, i: int) -> list[Edge]:
     """Added non-player pairs whose only common player neighbour is i."""
     return net._index[1].get(i, [])
-
-
-@dataclass(frozen=True)
-class PlayerStrategy:
-    """One player's action set: own connections plus interconnect actions."""
-
-    connect_self: frozenset[int]
-    connect_pairs: frozenset[Edge]
-
-
-@dataclass(frozen=True)
-class StrategyProfile:
-    strategies: tuple[PlayerStrategy, ...]
-
-    def of(self, i: int) -> PlayerStrategy:
-        return self.strategies[i - 1]
-
-
-def minimal_profile(net: Network) -> StrategyProfile:
-    """The inclusion-wise minimal profile producing ``net``.
-
-    Both endpoints of a player-player edge connect; a player connects to
-    each of her non-player neighbours; every added non-player edge is the
-    interconnect action of exactly its sustainer.
-    """
-    per: list[PlayerStrategy] = []
-    for i in net.players:
-        connect = frozenset(net.neighbours(i))
-        pairs = frozenset(e for e, s in net.sustainers.items() if s == i)
-        per.append(PlayerStrategy(connect, pairs))
-    return StrategyProfile(tuple(per))
-
-
-def resulting_network(
-    profile: StrategyProfile,
-    num_players: int,
-    num_nonplayers: int,
-    original_edges: Iterable[Sequence[int]] = (),
-) -> Network:
-    """Resulting graph of a profile: E0 plus the added-edge rule.
-
-    Player pairs need mutual consent; player-to-non-player links are
-    unilateral; a non-player pair appears when some player neighbours both
-    and plays the interconnect action (the lowest such player is recorded
-    as sustainer).
-    """
-    n, m = num_players, num_nonplayers
-    e0 = edge_set(original_edges)
-    if len(profile.strategies) != n:
-        raise ValidationError("profile size does not match the player count")
-    added: set[Edge] = set()
-    for i in range(1, n + 1):
-        for j in profile.of(i).connect_self:
-            if not (1 <= j <= n + m) or j == i:
-                raise ValidationError(f"player {i} connects to invalid node {j}")
-            if j > n:
-                added.add(edge(i, j))
-            elif i in profile.of(j).connect_self:
-                added.add(edge(i, j))
-    sustainers: dict[Edge, int] = {}
-    for i in range(1, n + 1):
-        si = profile.of(i)
-        for j, l in si.connect_pairs:
-            if j <= n or l <= n:
-                raise ValidationError(f"interconnect action of player {i} names player nodes")
-            if j in si.connect_self and l in si.connect_self:
-                e = edge(j, l)
-                if e not in e0:
-                    added.add(e)
-                    if e not in sustainers:
-                        sustainers[e] = i
-    return build_network(n, m, added | e0, e0, sustainers)
-
-
-def is_minimal_profile(
-    profile: StrategyProfile,
-    num_players: int,
-    num_nonplayers: int,
-    original_edges: Iterable[Sequence[int]] = (),
-) -> bool:
-    """Round-trip test: profile -> graph -> minimal profile is the identity."""
-    net = resulting_network(profile, num_players, num_nonplayers, original_edges)
-    return minimal_profile(net) == profile

@@ -1,11 +1,13 @@
 """Deviation semantics shared by the stability checkers.
 
-States are identified with graphs through the minimal-profile convention,
-so a coalition move is a graph transition subject to consent rules:
+States are identified with graphs: a graph stands for the profile in
+which players connect along its edges only and every player interconnects
+each added non-player pair she covers.  A coalition move is then a graph
+transition subject to consent rules:
 
 * player pairs inside the coalition may be added or removed freely;
 * an edge from a member to an outside player can be severed but not
-  created (the outsider's consent action is absent in a minimal profile);
+  created (the outsider does not connect to her);
 * member-to-non-player edges are entirely under the member's control;
 * a non-player pair outside E0 survives a move when some player remains
   adjacent to both endpoints, and can be newly interconnected only by a
@@ -18,7 +20,9 @@ search uses the survive-only closure.
 
 :func:`first_coalition_move` is the one coalition loop: the coalition
 search runs it over every adjacency choice, the k-strong growth over the
-pure additions among them.
+pure additions among them.  ``tests/strategic.py`` plays the game in
+literal strategies, and ``tests/test_strategic.py`` checks this convention
+against it.
 
 Both routes compare integers: with alpha_i = p_i / q_i, q_i * u_i is
 q_i * S_i - p_i * deg(i), S_i being the sum of her neighbours' degrees.
@@ -209,23 +213,6 @@ def first_coalition_move(
                 if improves_all(base, after):
                     return coalition, new_edges
     return None
-
-
-def improving_coalition_move(
-    net: Network,
-    game: GameSpec,
-    coalition: Sequence[int],
-) -> Optional[frozenset[Edge]]:
-    """First interconnect-maximal move that weakly improves every member
-    and strictly improves at least one, or None: the coalition search's
-    loop with every other coalition given no choices."""
-    members = tuple(sorted(coalition))
-
-    def choices(state: Network, c: Sequence[int]) -> Iterable[frozenset[Edge]]:
-        return coalition_adjacency_choices(state, c) if c == members else ()
-
-    found = first_coalition_move(net, game, len(members), choices)
-    return None if found is None else found[1]
 
 
 def improves_all(base: Sequence[int], after: Sequence[int]) -> bool:

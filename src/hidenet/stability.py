@@ -15,8 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ValidationError
-from .model import Edge, GameSpec, Network, edge, require_strength
+from .model import Edge, GameSpec, Network, edge, require_alpha_count, require_strength
 from .moves import (
     DeviationMove,
     blocking_pair,
@@ -42,11 +41,6 @@ class StabilityVerdict:
 
     def __bool__(self) -> bool:
         return self.stable
-
-
-def _check_game(net: Network, game: GameSpec) -> None:
-    if net.num_players != game.num_players:
-        raise ValidationError("alpha count does not match the player set")
 
 
 def _missing_pairs(net: Network, nodes) -> set[Edge]:
@@ -172,7 +166,7 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
 
     The fixpoints apply exactly these witnesses.
     """
-    _check_game(net, game)
+    require_alpha_count(net, game)
     found = first_violation(net, game, CONDITIONS)
     if found is None:
         return StabilityVerdict(True, "PANE", 1)
@@ -183,7 +177,7 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
 
 def is_k_nash(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """k-strong Nash stability by exhaustive coalition-deviation search."""
-    _check_game(net, game)
+    require_alpha_count(net, game)
     require_strength(k, net.num_players)
     check_move_budget(net, k)
     label = "NE" if k == 1 else "k-NE"

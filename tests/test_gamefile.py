@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hidenet import build_network
+from hidenet.cli import run_command
 from hidenet.gamefile import (
     GameFileError,
     parse_game_file,
@@ -107,3 +108,20 @@ def test_plain_graph_for_detection():
     assert sorted(edges) == [(1, 2), (3, 4)]
     inferred, _ = parse_plain_graph("[edges]\n2 7\n")
     assert inferred == 7
+
+
+def test_repeated_records_are_rejected_with_their_line(example1, tmp_path):
+    net, _ = example1
+    game = "[players]\n1 1\n2 1\n[nonplayers]\n3 4\n[edges]\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+    for first, second in (("1", "2"), ("2", "1"), ("1", "1")):
+        text = f"{game}[sustainers]\n3 4 {first}\n4 3 {second}\n"
+        with pytest.raises(GameFileError, match=r"line 14: repeated sustainer for pair \(3, 4\)"):
+            parse_game_file(text)
+    (tmp_path / "x.game").write_text(text)
+    code, output = run_command(["verify", "--game", str(tmp_path / "x.game")])
+    assert code == 2 and output.startswith("error: line 14: repeated sustainer")
+    graph = "[edges]\n1 3\n1 4\n3 4\n[sustainers]\n3 4 1\n3 4 1\n"
+    with pytest.raises(GameFileError, match="line 7: repeated sustainer"):
+        parse_graph_file(graph, net)
+    with pytest.raises(GameFileError, match=r"line 3: repeated \[nodes\] count"):
+        parse_plain_graph("[nodes]\n6\n7\n[edges]\n1 2\n")

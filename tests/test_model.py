@@ -2,28 +2,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from hidenet import (
-    GameSpec,
+from hidenet import GameSpec, ValidationError, build_network, degrees, utility
+from hidenet.model import sole_cover_count, utilities_from_edges
+
+from conftest import complete_edges
+from strategic import (
     PlayerStrategy,
     StrategyProfile,
-    ValidationError,
-    build_network,
-    degrees,
     effective_degree,
     is_minimal_profile,
     minimal_profile,
     resulting_network,
-    utility,
-    validate_network,
 )
-from hidenet.model import sole_cover_count, utilities_from_edges
-
-from conftest import complete_edges
 
 
 def test_example1_is_valid(example1):
     net, game = example1
-    validate_network(net, game)
+    assert net.with_edges(net.edges, net.sustainers) == net
     assert net.sustainers == {(3, 4): 1}
 
 
@@ -52,7 +47,7 @@ def test_game_needs_two_players():
 def test_alpha_count_mismatch(example1):
     net, _ = example1
     with pytest.raises(ValidationError, match="alphas"):
-        validate_network(net, GameSpec((F(1), F(1), F(1))))
+        utility(net, GameSpec((F(1), F(1), F(1))))
 
 
 def test_float_alpha_rejected():
@@ -195,3 +190,35 @@ def test_neighbours_are_a_sorted_tuple_and_unknown_nodes_raise(example1):
     for v in (0, -1, net.num_nodes + 1):
         with pytest.raises(ValidationError, match=f"unknown node {v}"):
             net.neighbours(v)
+
+
+REMOVED = (
+    "PlayerStrategy",
+    "StrategyProfile",
+    "effective_degree",
+    "is_minimal_profile",
+    "minimal_profile",
+    "resulting_network",
+    "social_welfare",
+    "validate_network",
+)
+
+
+def test_every_public_name_resolves_and_the_strategy_layer_is_not_exported():
+    import hidenet
+
+    oracle_names = {
+        "CrossValidationReport",
+        "FeasibleGraphSet",
+        "cross_validate",
+        "enumerate_feasible_graphs",
+        "exhaustive_stability",
+        "max_social_welfare",
+    }
+    assert oracle_names <= set(hidenet.__all__)
+    for name in hidenet.__all__:
+        assert getattr(hidenet, name) is not None, name
+    for name in REMOVED:
+        assert name not in hidenet.__all__
+        assert not hasattr(hidenet, name)
+        assert not hasattr(hidenet.model, name)

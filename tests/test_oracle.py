@@ -25,10 +25,10 @@ from hidenet import (
     utility,
 )
 from hidenet import oracle
-from hidenet.moves import improving_coalition_move
 from hidenet.oracle import candidate_edge_count
 
 from conftest import complete_edges, random_instance
+from strategic import improving_coalition_move
 
 
 def test_two_player_space():

@@ -30,6 +30,7 @@ from hidenet.model import utilities_from_edges
 from hidenet.moves import blocking_pair, move_count_bound
 
 from conftest import complete_edges, random_instance, relabel_edges, relabel_game
+from strategic import minimal_profile, resulting_network
 
 
 def _u(num_players, num_nodes, edges, alphas, i):
@@ -291,8 +292,6 @@ def test_hypothesis_minimal_profile_roundtrip(n, data):
         net = build_network(n, m, edges)
     except Exception:
         return
-    from hidenet.model import minimal_profile, resulting_network
-
     prof = minimal_profile(net)
     again = resulting_network(prof, n, m, net.original_edges)
     assert again.edges == net.edges

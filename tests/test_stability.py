@@ -14,7 +14,7 @@ from hidenet import (
     is_pane,
     utility,
 )
-from hidenet.model import minimal_profile, resulting_network, utilities_from_edges
+from hidenet.model import utilities_from_edges
 from hidenet.moves import (
     closure,
     coalition_additions,
@@ -26,6 +26,7 @@ from hidenet.oracle import FeasibleGraphSet, candidate_edge_count
 from hidenet.stability import ADDITIONS, CONDITIONS, DELETIONS
 
 from conftest import random_instance
+from strategic import PlayerStrategy, StrategyProfile, minimal_profile, resulting_network
 
 
 def test_example1_not_an_equilibrium(example1):
@@ -121,8 +122,6 @@ def test_pairwise_subsumed_for_k2(fig2_game):
 def test_minimal_profile_convention_example2(example2_game):
     # the non-minimal profile that wants the edge is not an equilibrium,
     # but the graph classification works on the minimal profile
-    from hidenet.model import PlayerStrategy, StrategyProfile
-
     eager = StrategyProfile(
         (
             PlayerStrategy(frozenset(), frozenset()),
