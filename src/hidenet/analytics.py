@@ -13,7 +13,6 @@ inclusion-monotonicity and strength-equals-max-utility facts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +23,8 @@ from .model import (
     GameSpec,
     Network,
     build_network,
+    clique_edges,
     edge,
-    edge_set,
     require_strength,
     utility,
 )
@@ -50,11 +49,7 @@ def _sorted_alphas(game: GameSpec) -> list[tuple[Fraction, int]]:
 def _clique_network(
     game: GameSpec, num_nonplayers: int, members: frozenset[int], original_edges
 ) -> Network:
-    nodes = sorted(members)
-    edges = {edge(a, b) for a, b in itertools.combinations(nodes, 2)}
-    return build_network(
-        game.num_players, num_nonplayers, edges | edge_set(original_edges), original_edges
-    )
+    return build_network(game.num_players, num_nonplayers, clique_edges(members), original_edges)
 
 
 @dataclass(frozen=True)
@@ -181,16 +176,15 @@ def check_equal_alpha(net: Network, game: GameSpec) -> tuple[bool, EqualAlphaStr
 
     total = n + m
     if alpha < max(1, m):
-        complete = {edge(a, b) for a, b in itertools.combinations(range(1, total + 1), 2)}
-        return net.edges == frozenset(complete), structure
+        return net.edges == clique_edges(range(1, total + 1)), structure
     if alpha > total - 1:
         return net.edges == net.original_edges, structure
 
     shape_ok = True
     expected = set(net.original_edges)
-    expected |= {edge(a, b) for a, b in itertools.combinations(sorted(D), 2)}
+    expected |= clique_edges(D)
     expected |= {edge(i, j) for i in net.players for j in sorted(D)}
-    expected |= {edge(a, b) for a, b in itertools.combinations(sorted(C), 2)}
+    expected |= clique_edges(C)
     if net.edges != frozenset(expected):
         shape_ok = False
     elif D and Fraction(d0 + len(D)) < alpha + 1 - n:
@@ -309,9 +303,8 @@ def check_one_distinct(net: Network, game: GameSpec, k: int = 1) -> bool:
             raise ValidationError(f"player {i} has alpha >= 1; characterisation inapplicable")
     n, m = net.num_players, net.num_nonplayers
     rest = range(2, n + m + 1)
-    core = {edge(a, b) for a, b in itertools.combinations(rest, 2)}
     ones = {e for e in net.edges if 1 in e}
-    if net.edges - ones != frozenset(core):
+    if net.edges - ones != clique_edges(rest):
         return False
     a1 = game.alpha(1)
     threshold = Fraction(n + m - 1)
@@ -381,9 +374,7 @@ def large_m_check(game: GameSpec, num_nonplayers: int) -> bool:
     if Fraction(num_nonplayers) <= max(game.alphas):
         return False
     n, m = game.num_players, num_nonplayers
-    complete_edges = frozenset(
-        edge(a, b) for a, b in itertools.combinations(range(1, n + m + 1), 2)
-    )
+    complete_edges = clique_edges(range(1, n + m + 1))
     top = greatest_closed_form(game, m)
     bottom = least_closed_form(game, m)
     if top.predicted.edges != complete_edges or bottom.predicted.edges != complete_edges:

@@ -130,7 +130,7 @@ def run_command(argv) -> tuple[int, str]:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return (int(exc.code) if exc.code else 2) or 2, ""
+        return int(exc.code), ""
     try:
         payload = _dispatch(args)
     except BudgetExceededError as exc:

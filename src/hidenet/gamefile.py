@@ -89,7 +89,6 @@ def parse_game_file(text: str) -> tuple[Network, GameSpec]:
     original: list[Edge] = []
     edges: list[Edge] = []
     sustainers: dict[Edge, int] = {}
-    saw_edges = False
     for lineno, section, tokens in _tokenise(text):
         if section == "players":
             if len(tokens) != 2:
@@ -105,7 +104,6 @@ def parse_game_file(text: str) -> tuple[Network, GameSpec]:
         elif section == "nonplayers":
             nonplayers.extend(_int(t, lineno) for t in tokens)
         elif section in ("original_edges", "edges"):
-            saw_edges = saw_edges or section == "edges"
             (edges if section == "edges" else original).append(_edge_line(tokens, lineno))
         elif section == "sustainers":
             _sustainer_line(tokens, lineno, sustainers)
@@ -123,9 +121,7 @@ def parse_game_file(text: str) -> tuple[Network, GameSpec]:
             f"non-player ids must be exactly {n + 1}..{n + m}, got {sorted(nonplayers)}"
         )
     game = GameSpec(tuple(alpha for _, alpha in sorted(players)))
-    all_edges = edges if saw_edges else []
-    net = build_network(n, m, list(all_edges) + list(original), original, sustainers or None)
-    return net, game
+    return build_network(n, m, edges, original, sustainers or None), game
 
 
 def parse_graph_file(text: str, base: Network) -> Network:
@@ -140,11 +136,7 @@ def parse_graph_file(text: str, base: Network) -> Network:
         else:
             raise GameFileError(f"graph files only carry [edges]/[sustainers]", lineno)
     return build_network(
-        base.num_players,
-        base.num_nonplayers,
-        list(edges) + list(base.original_edges),
-        base.original_edges,
-        sustainers or None,
+        base.num_players, base.num_nonplayers, edges, base.original_edges, sustainers or None
     )
 
 

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import PreconditionError
 from .fixpoint import max_included_pans, min_including_pans
-from .model import Edge, GameSpec, Network, build_network, edge_set
+from .model import Edge, GameSpec, Network, build_network, clique_edges
 from .stability import is_k_strong, is_pane
 
 
@@ -29,7 +29,7 @@ def least_pans(
     game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()
 ) -> Network:
     """Inclusion-minimum stable graph: grow from the original graph."""
-    start = build_network(game.num_players, num_nonplayers, original_edges, original_edges)
+    start = build_network(game.num_players, num_nonplayers, (), original_edges)
     return min_including_pans(start, game)
 
 
@@ -38,8 +38,7 @@ def greatest_pans(
 ) -> Network:
     """Inclusion-maximum stable graph: shrink from the complete graph."""
     n, m = game.num_players, num_nonplayers
-    complete = [(a, b) for a, b in itertools.combinations(range(1, n + m + 1), 2)]
-    start = build_network(n, m, complete, original_edges)
+    start = build_network(n, m, clique_edges(range(1, n + m + 1)), original_edges)
     return max_included_pans(start, game)
 
 
@@ -73,20 +72,18 @@ def _meet(game: GameSpec, net_s: Network, net_t: Network) -> Network:
     return max_included_pans(net_s.with_edges(common.edges - uncovered), game, check_entry=False)
 
 
-def bound_failures(
-    game: GameSpec, num_nonplayers: int, original_edges: Iterable, sets: list[frozenset[Edge]]
-) -> list[str]:
-    """How the stable edge sets ``sets`` of an instance fail to form a
-    lattice whose joins and meets the fixpoints compute (empty if they do).
+def bound_failures(game: GameSpec, nets: list[Network]) -> list[str]:
+    """How the networks ``nets``, the stable graphs of one instance, fail
+    to form a lattice whose joins and meets the fixpoints compute (empty if
+    they do).
 
-    Each set is checked with ``is_pane`` once; a set that fails is reported
-    and the pairs are not compared, since join and meet are defined only
-    on stable operands."""
+    Each network is checked with ``is_pane`` once; one that fails is
+    reported and the pairs are not compared, since join and meet are
+    defined only on stable operands."""
+    sets = [net.edges for net in nets]
     least, greatest = min(sets, key=len), max(sets, key=len)
     if any(not least <= s or not s <= greatest for s in sets):
         return ["stable set has no least or greatest element"]
-    e0 = edge_set(original_edges)
-    nets = [build_network(game.num_players, num_nonplayers, s, e0) for s in sets]
     failures = [
         f"{sorted(s)} is not pairwise Nash stable"
         for s, net in zip(sets, nets) if not is_pane(net, game)
@@ -148,7 +145,7 @@ def enumerate_lattice(
                 "the deviation search disagrees"
             )
     sets = [n.edges for n in elements]
-    failures = bound_failures(game, num_nonplayers, original_edges, sets)
+    failures = bound_failures(game, elements)
     if failures:
         raise AssertionError(failures[0])
     if k < game.num_players and not set(fgs.pans_masks(k + 1)) <= set(masks):

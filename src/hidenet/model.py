@@ -17,6 +17,7 @@ The package works on graphs; the game's literal strategy layer lives in
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,6 +40,30 @@ def edge(a: int, b: int) -> Edge:
 
 def edge_set(pairs: Iterable[Sequence[int]]) -> frozenset[Edge]:
     return frozenset(edge(a, b) for a, b in pairs)
+
+
+def clique_edges(nodes: Iterable[int]) -> frozenset[Edge]:
+    """Every pair of the given distinct nodes."""
+    return frozenset(itertools.combinations(sorted(nodes), 2))
+
+
+def _require_nodes(pairs: frozenset[Edge], num_nodes: int, what: str) -> None:
+    for a, b in sorted(pairs):
+        if not (1 <= a and b <= num_nodes):
+            raise ValidationError(f"{what} ({a}, {b}) references unknown nodes (|V| = {num_nodes})")
+
+
+def original_edge_set(
+    num_players: int, num_nonplayers: int, pairs: Iterable[Sequence[int]]
+) -> frozenset[Edge]:
+    """The original edges E0 of an instance, normalised and validated: every
+    pair must name nodes of the instance, and then join two non-players."""
+    e0 = edge_set(pairs)
+    _require_nodes(e0, num_players + num_nonplayers, "original edge")
+    for a, b in sorted(e0):
+        if a <= num_players:
+            raise ValidationError(f"original edge ({a}, {b}) touches a player")
+    return e0
 
 
 def as_fraction(value) -> Fraction:
@@ -130,13 +155,7 @@ class Network:
         """Sorted neighbour tuples indexed by node (slot 0 empty), the added
         non-player pairs keyed by their only covering player, and counts of
         those by (non-player, player)."""
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes + 1)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for s in adj:
-            s.sort()
-        nbrs = tuple(map(tuple, adj))
+        nbrs = _sorted_adjacency(self.edges, self.num_nodes)
         sole: dict[int, list[Edge]] = {}
         for j, l in sorted(self.added_nonplayer_edges()):
             cover = _common_players(nbrs[j], nbrs[l], self.num_players)
@@ -184,20 +203,23 @@ class Network:
         n, m = self.num_players, self.num_nonplayers
         return Network(n, m, self.original_edges, frozenset(edges))
 
-    def with_edges(
-        self, edges: Iterable[Sequence[int]], sustainers: Optional[Mapping[Edge, int]] = None
-    ) -> "Network":
+    def with_edges(self, edges: Iterable[Sequence[int]]) -> "Network":
         """A validated copy of this network with a different edge set."""
-        return build_network(
-            self.num_players,
-            self.num_nonplayers,
-            edges,
-            original_edges=self.original_edges,
-            sustainers=sustainers,
-        )
+        return build_network(self.num_players, self.num_nonplayers, edges, self.original_edges)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
+
+
+def _sorted_adjacency(edges: Iterable[Edge], num_nodes: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples indexed by node, slot 0 empty."""
+    adj: list[list[int]] = [[] for _ in range(num_nodes + 1)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for s in adj:
+        s.sort()
+    return tuple(map(tuple, adj))
 
 
 def _common_players(a: tuple[int, ...], b: tuple[int, ...], num_players: int) -> list[int]:
@@ -219,21 +241,14 @@ def canonical_sustainers(
     edge with no player adjacent to both endpoints cannot exist in any
     strategy profile and is rejected.
     """
-    adj: dict[int, set[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
+    nbrs = _sorted_adjacency(edges, num_players + num_nonplayers)
     out: dict[Edge, int] = {}
     given = dict(given or {})
     for e in sorted(edges - original_edges):
         j, l = e
-        if j <= num_players or l <= num_players:
+        if j <= num_players:
             continue
-        eligible = [
-            i
-            for i in range(1, num_players + 1)
-            if j in adj.get(i, ()) and l in adj.get(i, ())
-        ]
+        eligible = _common_players(nbrs[j], nbrs[l], num_players)
         if not eligible:
             raise ValidationError(f"unsustainable non-player edge {e}: no common player neighbour")
         chosen = given.pop(e, None)
@@ -264,14 +279,10 @@ def build_network(
     if num_nonplayers < 0:
         raise ValidationError("negative non-player count")
     n, m = num_players, num_nonplayers
-    e0 = edge_set(original_edges)
-    es = edge_set(edges) | e0
-    for a, b in sorted(es):
-        if not (1 <= a <= n + m and 1 <= b <= n + m):
-            raise ValidationError(f"edge ({a}, {b}) references unknown nodes (|V| = {n + m})")
-    for a, b in sorted(e0):
-        if a <= n or b <= n:
-            raise ValidationError(f"original edge ({a}, {b}) touches a player")
+    e0 = original_edge_set(n, m, original_edges)
+    es = edge_set(edges)
+    _require_nodes(es, n + m, "edge")
+    es |= e0
     sus = canonical_sustainers(n, m, e0, es, sustainers)
     return Network(n, m, e0, es, sus)
 

@@ -25,7 +25,9 @@ bounds C, the pairs outside E0, so the default of 18 admits a space of
 
 The deviation semantics mirror ``moves.py`` but are re-implemented on the
 bitmask representation: the two routes share nothing except the model
-definition, which is what makes cross-validation meaningful.
+definition, which is what makes cross-validation meaningful.  That
+definition includes the instance: E0 is validated by
+``model.original_edge_set``, the same check ``build_network`` runs.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from .model import (
     build_network,
     edge,
     edge_set,
+    original_edge_set,
+    require_alpha_count,
     require_strength,
 )
 from .moves import make_move
@@ -98,12 +102,7 @@ class FeasibleGraphSet:
 
     def __init__(self, game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()):
         n, m = game.num_players, num_nonplayers
-        self.e0 = edge_set(original_edges)
-        for a, b in self.e0:
-            if a <= n or b <= n:
-                raise ValidationError(f"original edge ({a}, {b}) touches a player")
-            if b > n + m:
-                raise ValidationError(f"original edge ({a}, {b}) references unknown nodes")
+        self.e0 = original_edge_set(n, m, original_edges)
         # exact: the validated E0 pairs are distinct non-player pairs in range
         limit, count = edge_budget(), candidate_edge_count(n, m) - len(self.e0)
         if count > limit:
@@ -375,6 +374,7 @@ def enumerate_feasible_graphs(
 
 def exhaustive_stability(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """Literal deviation search on the mask tables, with witness."""
+    require_alpha_count(net, game)
     require_strength(k, net.num_players)
     fgs = enumerate_feasible_graphs(game, net.num_nonplayers, net.original_edges)
     mask = fgs.mask_of(net.edges)
@@ -442,11 +442,14 @@ def cross_validate(
 
     pans1 = set(fgs.pans_masks(1))
     strong = {k: set(fgs.pans_masks(k)) for k in range(2, max_k + 1)}
+    pans_nets: list[Network] = []
     for mask in fgs.masks:
         mask = int(mask)
         net = fgs.network(mask)
         fast = bool(is_pane(net, game))
         truth = mask in pans1
+        if truth:
+            pans_nets.append(net)
         if fast != truth:
             disagreements.append(
                 Disagreement("is_pane", 1, tuple(sorted(net.edges)), fast, truth)
@@ -459,11 +462,11 @@ def cross_validate(
                     Disagreement("is_k_strong", k, tuple(sorted(net.edges)), fast_k, truth_k)
                 )
 
-    pans_edge_sets = [fgs.edges_of(t) for t in sorted(pans1)]
+    pans_edge_sets = [net.edges for net in pans_nets]
     least = least_pans(game, num_nonplayers, original_edges)
     greatest = greatest_pans(game, num_nonplayers, original_edges)
     if pans_edge_sets:
-        failures += bound_failures(game, num_nonplayers, fgs.e0, pans_edge_sets)
+        failures += bound_failures(game, pans_nets)
         if least.edges != min(pans_edge_sets, key=len):
             failures.append("least_pans differs from the oracle minimum")
         if greatest.edges != max(pans_edge_sets, key=len):

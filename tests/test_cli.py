@@ -132,6 +132,13 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert code == 2
 
 
+def test_help_exits_0_and_usage_errors_exit_2(capsys):
+    assert run("--help") == (0, "")
+    assert capsys.readouterr().out.startswith("usage:")
+    assert run()[0] == 2
+    assert run("verify", "--k", "one")[0] == 2
+
+
 def test_exit_code_2_on_precondition(tmp_path):
     # joining a non-stable graph violates the operation's contract
     code, out = run(

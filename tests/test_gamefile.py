@@ -88,6 +88,14 @@ def test_player_ids_must_be_contiguous():
         parse_game_file("[players]\n1 1\n2 1\n[nonplayers]\n5\n")
 
 
+def test_edges_default_to_the_original_edges():
+    head = "[players]\n1 1\n2 1\n[nonplayers]\n3 4 5\n[original_edges]\n3 4\n4 5\n"
+    for text in (head, head + "[edges]\n"):
+        net, _ = parse_game_file(text)
+        assert net.edges == net.original_edges == {(3, 4), (4, 5)}
+    assert parse_graph_file("[edges]\n", net).edges == net.original_edges
+
+
 def test_graph_file_resolves_against_game(example1):
     net, _ = example1
     text = serialize_graph(build_network(2, 3, [(1, 2), (2, 5)]))

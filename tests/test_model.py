@@ -18,7 +18,7 @@ from strategic import (
 
 def test_example1_is_valid(example1):
     net, game = example1
-    assert net.with_edges(net.edges, net.sustainers) == net
+    assert net.with_edges(net.edges) == net
     assert net.sustainers == {(3, 4): 1}
 
 

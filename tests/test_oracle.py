@@ -97,6 +97,29 @@ def test_budget_env_override(monkeypatch, fig2_game):
         enumerate_feasible_graphs(fig2_game, 0)
 
 
+@pytest.mark.parametrize(
+    "pair, phrase",
+    [((0, 3), "unknown nodes"), ((-1, 3), "unknown nodes"), ((3, 9), "unknown nodes"),
+     ((1, 3), "touches a player")],
+)
+def test_one_e0_rule_for_both_constructors(pair, phrase):
+    with pytest.raises(ValidationError, match=phrase) as built:
+        build_network(2, 2, [], [pair])
+    with pytest.raises(ValidationError) as tabled:
+        oracle.FeasibleGraphSet(GameSpec([1, 1]), 2, [pair])
+    assert str(tabled.value) == str(built.value)
+
+
+def test_every_route_checks_the_alpha_count():
+    net, game = build_network(2, 2, []), GameSpec([1, 1, 1])
+    message = "game has 3 alphas but network has 2 players"
+    with pytest.raises(ValidationError, match=message):
+        is_pane(net, game)
+    for search in (is_k_strong, exhaustive_stability):
+        with pytest.raises(ValidationError, match=message):
+            search(net, game, 1)
+
+
 def test_exhaustive_stability_examples(fig2_game, fig3_game, fig3_graphs):
     tri = build_network(4, 0, [(1, 2), (1, 3), (2, 3)])
     assert exhaustive_stability(tri, fig2_game, 1).stable
