@@ -171,6 +171,10 @@ def _dispatch(args) -> dict:
             "verdict": reports.verdict_dict(_verify(nets[0], game, args.k)),
             "utilities": reports.utility_dict(utility(nets[0], game)),
         }
+    if command in ("least", "greatest", "join", "meet"):
+        require_strength(args.k, game.num_players)
+        if args.k != 1:
+            raise ValidationError(f"{command} builds pairwise Nash stable graphs only (k = 1)")
     if command in ("least", "greatest"):
         op = lattice.least_pans if command == "least" else lattice.greatest_pans
         net = op(game, m, e0)

@@ -5,8 +5,11 @@ for each condition and each player in turn, the sweep applies the move
 that condition's finder reports (the witness ``is_pane`` would report) for
 as long as it reports one, and repeats until a whole sweep changes
 nothing.  ``min_including_pans`` sweeps the additions (interconnection,
-inclusion-minimal profitable set-additions, blocking player pairs) and
-grows a graph to the smallest pairwise Nash stable superset;
+best profitable set-additions, blocking player pairs) and grows a graph
+to a pairwise Nash stable superset.  That is the smallest one when no
+stable superset has another player cover a pair that an applied
+set-addition paid for; ``stability.improving_set_addition`` gives the
+bound and a start where it fails.
 ``max_included_pans`` sweeps the deletions (single drops to players, then
 to non-players, then deletion bundles) and shrinks a graph to the largest
 stable subset.  ``min_including_k_pans`` grows a graph by the coalition
@@ -89,7 +92,9 @@ def min_including_pans(
     game: GameSpec,
     counter: Optional[OpCounter] = None,
 ) -> Network:
-    """Smallest pairwise Nash stable graph containing ``net``."""
+    """Pairwise Nash stable graph containing ``net``, grown by ``is_pane``'s
+    addition moves: the smallest one under the condition in the module
+    docstring."""
     require_no_profitable_deletion(net, game)
     current = _sweep(net, game, ADDITIONS, counter)
     return net if current is net else net.with_edges(current.edges)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +27,7 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 from .errors import ValidationError
 
 Edge = tuple[int, int]
-_NONE_SOLE: tuple[dict, Counter] = ({}, Counter())  # shared by states with no sole cover
+_NONE_SOLE: tuple[dict, dict] = ({}, {})  # shared by states with no sole cover
 
 
 def edge(a: int, b: int) -> Edge:
@@ -151,19 +150,13 @@ class Network:
         return 1 <= v <= self.num_players
 
     @cached_property
-    def _index(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]], Counter]:
+    def _index(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]], dict]:
         """Sorted neighbour tuples indexed by node (slot 0 empty), the added
         non-player pairs keyed by their only covering player, and counts of
-        those by (non-player, player)."""
-        nbrs = _sorted_adjacency(self.edges, self.num_nodes)
-        sole: dict[int, list[Edge]] = {}
-        for j, l in sorted(self.added_nonplayer_edges()):
-            cover = _common_players(nbrs[j], nbrs[l], self.num_players)
-            if len(cover) == 1:
-                sole.setdefault(cover[0], []).append((j, l))
-        if not sole:
-            return (nbrs, *_NONE_SOLE)
-        return nbrs, sole, Counter((j, i) for i, es in sole.items() for e in es for j in e)
+        those by (non-player, player).  ``build_network`` seeds it."""
+        return _index_of(
+            *_covers(self.num_players, self.num_nodes, self.original_edges, self.edges)
+        )
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         """v's neighbours, ascending (players first)."""
@@ -227,12 +220,35 @@ def _common_players(a: tuple[int, ...], b: tuple[int, ...], num_players: int) ->
     return [i for i in a[: bisect_right(a, num_players)] if i in b]
 
 
-def canonical_sustainers(
-    num_players: int,
-    num_nonplayers: int,
-    original_edges: frozenset[Edge],
-    edges: frozenset[Edge],
-    given: Optional[Mapping[Edge, int]] = None,
+def _covers(
+    num_players: int, num_nodes: int, original_edges: frozenset[Edge], edges: frozenset[Edge]
+) -> tuple[tuple[tuple[int, ...], ...], dict[Edge, list[int]]]:
+    """A state's sorted adjacency, and the covering players (ascending) of
+    each added non-player pair, in pair order."""
+    nbrs = _sorted_adjacency(edges, num_nodes)
+    added = sorted(e for e in edges - original_edges if e[0] > num_players)
+    return nbrs, {(j, l): _common_players(nbrs[j], nbrs[l], num_players) for j, l in added}
+
+
+def _index_of(
+    nbrs: tuple[tuple[int, ...], ...], covers: Mapping[Edge, list[int]]
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]], dict]:
+    """``Network._index`` from the output of :func:`_covers`."""
+    sole: dict[int, list[Edge]] = {}
+    counts: dict[tuple[int, int], int] = {}
+    for e, cover in covers.items():
+        if len(cover) == 1:
+            i = cover[0]
+            sole.setdefault(i, []).append(e)
+            for j in e:
+                counts[j, i] = counts.get((j, i), 0) + 1
+    if not sole:
+        return (nbrs, *_NONE_SOLE)
+    return nbrs, sole, counts
+
+
+def _assign_sustainers(
+    covers: Mapping[Edge, list[int]], given: Optional[Mapping[Edge, int]]
 ) -> dict[Edge, int]:
     """Assign one sustainer to every added non-player edge.
 
@@ -241,14 +257,9 @@ def canonical_sustainers(
     edge with no player adjacent to both endpoints cannot exist in any
     strategy profile and is rejected.
     """
-    nbrs = _sorted_adjacency(edges, num_players + num_nonplayers)
     out: dict[Edge, int] = {}
     given = dict(given or {})
-    for e in sorted(edges - original_edges):
-        j, l = e
-        if j <= num_players:
-            continue
-        eligible = _common_players(nbrs[j], nbrs[l], num_players)
+    for e, eligible in covers.items():
         if not eligible:
             raise ValidationError(f"unsustainable non-player edge {e}: no common player neighbour")
         chosen = given.pop(e, None)
@@ -283,8 +294,10 @@ def build_network(
     es = edge_set(edges)
     _require_nodes(es, n + m, "edge")
     es |= e0
-    sus = canonical_sustainers(n, m, e0, es, sustainers)
-    return Network(n, m, e0, es, sus)
+    nbrs, covers = _covers(n, n + m, e0, es)
+    net = Network(n, m, e0, es, _assign_sustainers(covers, sustainers))
+    net.__dict__["_index"] = _index_of(nbrs, covers)  # what the cached property would compute
+    return net
 
 
 def degrees(net: Network, node: int) -> tuple[int, int]:
@@ -353,13 +366,24 @@ def utility(net: Network, game: GameSpec) -> UtilityVector:
     return utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
 
 
+def adjacency(net: Network) -> tuple[tuple[int, ...], ...]:
+    """Every node's neighbours, ascending, indexed by node (slot 0 empty):
+    for scans that score many nodes of one state."""
+    return net._index[0]
+
+
+def sole_cover_counts(net: Network) -> Mapping[tuple[int, int], int]:
+    """:func:`sole_cover_count` of every (j, i) where it is not zero."""
+    return net._index[2]
+
+
 def sole_cover_count(net: Network, j: int, i: int) -> int:
     """Added non-player edges at j that die if player i drops edge (i, j).
 
     An added non-player edge needs some player adjacent to both endpoints;
     it outlives i's withdrawal exactly when another player covers it.
     """
-    return net._index[2][j, i]
+    return net._index[2].get((j, i), 0)
 
 
 def sole_covered_pairs(net: Network, i: int) -> list[Edge]:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -50,10 +51,11 @@ from .model import (
     Edge,
     GameSpec,
     Network,
+    adjacency,
     build_network,
     edge,
     scaled_utilities,
-    sole_cover_count,
+    sole_cover_counts,
     sole_covered_pairs,
 )
 
@@ -223,13 +225,30 @@ def improves_all(base: Sequence[int], after: Sequence[int]) -> bool:
 
 
 # -- exact single-player marginals of the fast route --------------------------
+#
+# Each marginal has one formula, and the scans read the state's index once
+# per call (``model.adjacency``, ``model.sole_cover_counts``): the drop
+# gains are a batch over nodes (one drop is a batch of one), the link gain
+# a formula over plain integers.
+
+
+def _drop_gains(net: Network, game: GameSpec, i: int, nodes: Sequence[int]) -> list[int]:
+    """q_i times i's gain from dropping her edge to each of ``nodes`` alone:
+    alpha_i - deg(j), less the pairs at j that only i holds together."""
+    nbrs, sole = adjacency(net), sole_cover_counts(net)
+    p, q = game.ratio(i)
+    return [p - q * (len(nbrs[j]) + sole.get((j, i), 0)) for j in nodes]
+
+
+def _link_gain(p: int, q: int, degree: int) -> int:
+    """q times the gain, at alpha = p / q, from a new edge to a node of
+    ``degree``: it adds degree + 1 to S and one to the mover's degree."""
+    return q * (degree + 1) - p
 
 
 def drop_score(net: Network, game: GameSpec, i: int, j: int) -> int:
-    """q_i times i's gain from dropping her edge to j alone: alpha_i - deg(j),
-    less the pairs at j that only i holds together."""
-    p, q = game.ratio(i)
-    return p - q * (net.degree(j) + sole_cover_count(net, j, i))
+    """q_i times i's gain from dropping her edge to j alone."""
+    return _drop_gains(net, game, i, (j,))[0]
 
 
 def profitable_drops(net: Network, game: GameSpec, i: int, players: bool) -> list[int]:
@@ -239,11 +258,12 @@ def profitable_drops(net: Network, game: GameSpec, i: int, players: bool) -> lis
     takes one from deg(l) and one from l's sole covers at once), so all
     can go together; afterwards more of them may pay.
     """
-    return sorted(
-        j
-        for j in net.neighbours(i)
-        if net.is_player(j) == players and drop_score(net, game, i, j) > 0
-    )
+    own = adjacency(net)[i]
+    split = bisect_right(own, net.num_players)
+    scan = own[:split] if players else own[split:]
+    if not scan:
+        return []
+    return [j for j, gain in zip(scan, _drop_gains(net, game, i, scan)) if gain > 0]
 
 
 def pure_deletion(net: Network, i: int, dropped) -> frozenset[Edge]:
@@ -275,23 +295,28 @@ def improving_pure_deletion(
     the smallest minimum cut of a small flow network.  Nothing is enumerated.
     """
     p, q = game.ratio(i)
+    nbrs = adjacency(net)
     pairs = sole_covered_pairs(net, i)
-    loss = {j: q * net.degree(j) - p for e in pairs for j in e}
+    loss = {j: q * len(nbrs[j]) - p for e in pairs for j in e}
     bundle = _smallest_min_cut_side(loss, pairs, q)
     cut = sum((a in bundle) != (b in bundle) for a, b in pairs)
-    free = {
-        j for j in net.neighbours(i) if j not in loss and drop_score(net, game, i, j) > 0
-    }
+    others = [j for j in nbrs[i] if j not in loss]
+    free = {j for j, gain in zip(others, _drop_gains(net, game, i, others)) if gain > 0}
     if not free and sum(loss[j] for j in bundle) + q * cut >= 0:
         return None
     return pure_deletion(net, i, free | bundle)
 
 
 def _smallest_min_cut_side(
-    weight: dict[int, int], pairs: Sequence[Edge], pair_cost: int
+    weight: dict[int, int], pairs: Iterable[Edge], pair_cost: int
 ) -> set[int]:
     """Smallest D minimising sum(weight over D) + pair_cost * (pairs with one
-    end in D): what the source still reaches after an Edmonds-Karp flow."""
+    end in D): what the source still reaches after an Edmonds-Karp flow.
+
+    Every node of ``pairs`` must have a weight.  Both bundle searches use
+    it: deletions (D the dropped nodes) and additions (D the targets, see
+    ``stability.improving_set_addition``).
+    """
     source, sink = 0, -1
     cap = {source: {j: -w for j, w in weight.items() if w < 0}, sink: {}}
     cap.update((j, {sink: w} if w > 0 else {}) for j, w in weight.items())
@@ -319,19 +344,20 @@ def _smallest_min_cut_side(
 def link_score(net: Network, game: GameSpec, i: int, j: int) -> int:
     """q_i times i's gain from a new edge to player j: deg(j) + 1 - alpha_i."""
     p, q = game.ratio(i)
-    return q * (net.degree(j) + 1) - p
-
-
-def blocks(net: Network, game: GameSpec, i: int, j: int) -> bool:
-    """Whether both players weakly gain from a new edge (i, j), one strictly."""
-    gi, gj = link_score(net, game, i, j), link_score(net, game, j, i)
-    return gi >= 0 and gj >= 0 and (gi > 0 or gj > 0)
+    return _link_gain(p, q, net.degree(j))
 
 
 def blocking_partner(net: Network, game: GameSpec, i: int) -> Optional[int]:
-    """First player j > i whose missing edge to i blocks, if any."""
+    """First player j > i whose missing edge to i blocks (both weakly gain,
+    one strictly), if any."""
+    nbrs, ratios = adjacency(net), game.ratios
+    own = nbrs[i]
+    p, q = ratios[i - 1]
     for j in range(i + 1, net.num_players + 1):
-        if j not in net.neighbours(i) and blocks(net, game, i, j):
+        if j in own:
+            continue
+        gain_i, gain_j = _link_gain(p, q, len(nbrs[j])), _link_gain(*ratios[j - 1], len(own))
+        if gain_i >= 0 and gain_j >= 0 and (gain_i > 0 or gain_j > 0):
             return j
     return None
 

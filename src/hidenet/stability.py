@@ -2,8 +2,9 @@
 
 Two routes are provided on purpose.  :func:`is_pane` applies the six
 structural equilibrium conditions of :data:`CONDITIONS` (degree
-thresholds, subset-addition search, blocking pairs, interconnection, plus
-a set-deletion completion), whose moves the fixpoints also apply, while
+thresholds, a best set-addition by one minimum cut, blocking pairs,
+interconnection, plus a set-deletion completion by another), whose moves
+the fixpoints also apply, while
 :func:`is_k_strong` runs a literal deviation search over coalition moves.
 The oracle module re-implements the search a third way on bitmask tables;
 cross-validation compares all of them.
@@ -12,12 +13,23 @@ cross-validation compares all of them.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Edge, GameSpec, Network, edge, require_alpha_count, require_strength
+from .model import (
+    Edge,
+    GameSpec,
+    Network,
+    adjacency,
+    edge,
+    require_alpha_count,
+    require_strength,
+)
 from .moves import (
     DeviationMove,
+    _link_gain,
+    _smallest_min_cut_side,
     blocking_pair,
     blocking_partner,
     bundles_can_pay,
@@ -45,7 +57,10 @@ class StabilityVerdict:
 
 def _missing_pairs(net: Network, nodes) -> set[Edge]:
     """Pairs among ``nodes`` that are not joined."""
-    return {edge(j, l) for j, l in itertools.combinations(nodes, 2) if l not in net.neighbours(j)}
+    if len(nodes) < 2:
+        return set()
+    nbrs = adjacency(net)
+    return {(j, l) for j, l in itertools.combinations(sorted(nodes), 2) if l not in nbrs[j]}
 
 
 def _set_addition_gain(
@@ -55,8 +70,9 @@ def _set_addition_gain(
     all her non-player neighbours afterwards, and the edges this adds: each
     target adds deg + 1 to S_i and one to deg(i), and each new pair adds 2."""
     p, q = game.ratio(i)
+    nbrs = adjacency(net)
     pairs = _missing_pairs(net, net.nonplayer_neighbours(i) + list(targets))
-    score = q * (sum(net.degree(t) + 1 for t in targets) + 2 * len(pairs)) - p * len(targets)
+    score = sum(_link_gain(p, q, len(nbrs[t])) for t in targets) + 2 * q * len(pairs)
     return score, pairs | {edge(i, t) for t in targets}
 
 
@@ -77,17 +93,65 @@ def _drops_of(players: bool):
 
 
 def improving_set_addition(net: Network, game: GameSpec, i: int) -> Optional[Move]:
-    """i's move to her inclusion-minimal strictly-improving non-player
-    target set.  Candidate sets run over non-player non-neighbours in
-    ascending cardinality, lexicographic within one cardinality, so the
-    first hit is inclusion-minimal and deterministic."""
-    candidates = sorted(v for v in net.nonplayers if v not in net.neighbours(i))
-    for r in range(1, len(candidates) + 1):
-        for targets in itertools.combinations(candidates, r):
-            score, added = _set_addition_gain(net, game, i, targets)
-            if score > 0:
-                return (i,), net.edges | added
-    return None
+    """i's best strictly-improving move to a set T of non-player
+    non-neighbours (largest gain, then fewest targets, then lexicographic),
+    with all her non-player neighbours then interconnected.
+
+    Over T, ``_set_addition_gain`` is c0 + sum(w_t) + 2 q_i (missing pairs
+    inside T): c0 counts the missing pairs among her held non-players H,
+    and w_t = q_i (deg(t) + 1) - p_i + 2 q_i (members of H not joined to t).
+    With d_t the missing candidate pairs at t, 2 q_i (pairs inside T) is
+    q_i sum(d_t) - q_i (pairs with one end in T), so the best sets are the
+    minimum cuts of weight -(w_t + q_i d_t) and pair cost q_i.  Their
+    smallest one is inside every other, so it is the best move whenever it
+    is not empty; when it is empty only c0 > 0 can pay, and one cut with
+    each candidate forced in gives the best non-empty set.
+
+    Growth applies this move (``fixpoint.min_including_pans``).  It lies
+    inside a stable G' containing the state whenever G' adds no pair
+    between a target i lacks there and a non-player she holds: were U, a
+    non-empty part of T, missing from her neighbours in G', T would gain
+    strictly more than T minus U (no proper subset of the smallest best
+    set is best), and adding U in G' would gain at least as much, since
+    the gain is supermodular, G' has every edge of the state, and G'
+    interconnects her non-player neighbours.  Each pair that G' adds there,
+    covered by another player, lowers that bound by q_i, and then the move
+    can overshoot: from the state 1-4, 1-5, 2-4, 2-5, 3-4, 3-5, 4-5 at
+    alphas (4, 0, 4), growth joins 1 to 6, yet the least stable graph
+    containing that state covers 4-6 and 5-6 by player 2 and lacks 1-6.
+    """
+    nbrs = adjacency(net)
+    own = nbrs[i]
+    held = set(own[bisect_right(own, net.num_players):])
+    if len(held) == net.num_nonplayers:
+        return None  # no candidate
+    candidates = [t for t in net.nonplayers if t not in held]
+    p, q = game.ratio(i)
+    pool = set(candidates)
+    # -(w_t + q_i d_t), from the held and the candidate non-players that t
+    # is not joined to
+    weight = {
+        t: -_link_gain(p, q, len(nbrs[t]))
+        - 2 * q * (len(held) - len(held.intersection(nbrs[t])))
+        - q * (len(pool) - 1 - len(pool.intersection(nbrs[t])))
+        for t in candidates
+    }
+    interconnected = not _missing_pairs(net, held)  # c0 = 0
+    if interconnected and all(w >= 0 for w in weight.values()):
+        return None
+    pairs = _missing_pairs(net, candidates)
+    targets = tuple(sorted(_smallest_min_cut_side(weight, pairs, q)))
+    if not targets and not interconnected:
+        forced = 1 + sum(map(abs, weight.values()))
+        sides = (
+            tuple(sorted(_smallest_min_cut_side({**weight, t: -forced}, pairs, q)))
+            for t in candidates
+        )
+        best = min((-_set_addition_gain(net, game, i, side)[0], len(side), side) for side in sides)
+        targets = best[2] if best[0] < 0 else ()
+    if not targets:
+        return None
+    return (i,), net.edges | _set_addition_gain(net, game, i, targets)[1]
 
 
 def _player_pair(net: Network, game: GameSpec, i: int) -> Optional[Move]:
@@ -145,9 +209,10 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
        pays, with the pairs only she holds together there.  One drop leaves
        the others paying, so they go together.
     b. ``nonplayer-set-addition``: no player has a strictly improving
-       set-addition to non-players.  Witness: the inclusion-minimal target
-       set, first by size and then lexicographically, with all her
-       non-player neighbours then interconnected.
+       set-addition to non-players.  Witness: her best target set (largest
+       gain, then fewest targets, then lexicographic), with all her
+       non-player neighbours then interconnected; a minimum cut rather
+       than 2^m target sets.
     c. ``player-edge-deletion``: every player-player edge satisfies
        deg(j) >= alpha_i both ways.  Witness: as in a, for i's player edges.
     d. ``missing-player-pair``: no missing player pair blocks (both weakly

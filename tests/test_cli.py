@@ -256,6 +256,23 @@ def test_strength_outside_1_to_n_exits_2(monkeypatch, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["least", "greatest", "join", "meet"])
+@pytest.mark.parametrize("k", ["0", "2", "3", "5"])
+def test_lattice_commands_refuse_strength_other_than_1(command, k):
+    graphs = ["--graph", fx("triangle123.graph"), "--graph", fx("triangle123.graph")]
+    argv = [command, "--game", fx("fig2.game"), "--k", k]
+    code, out = run(*argv, *(graphs if command in ("join", "meet") else []))
+    assert code == 2 and out.startswith("error:")
+    assert ("outside 1..4" in out) if k in ("0", "5") else (command in out)
+    assert run(*argv[:-2], *(graphs if command in ("join", "meet") else []))[0] == 0
+
+
+def test_verify_of_twenty_isolated_nonplayers_is_fast_and_stable():
+    code, out = run("verify", "--game", fx("isolated20.game"))
+    assert code == 0
+    assert json.loads(out)["verdict"]["stable"] is True
+
+
 def _exits_2_without_traceback(monkeypatch, capsys, argv):
     monkeypatch.setattr(sys, "argv", ["hidenet", *argv])
     with pytest.raises(SystemExit) as exc:

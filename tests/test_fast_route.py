@@ -31,9 +31,11 @@ from hidenet.moves import (
     closure,
     drop_score,
     improving_pure_deletion,
+    make_move,
     player_incident_edges,
     pure_deletion,
 )
+from hidenet.stability import _missing_pairs, _set_addition_gain, improving_set_addition
 
 from conftest import complete_edges
 
@@ -56,6 +58,19 @@ def _enumerated_pure_deletion(net, game, i):
             if gain > 0 and (best is None or (-gain, r, drop) < best[0]):
                 best = ((-gain, r, drop), new_edges)
     return None if best is None else best[1]
+
+
+def _enumerated_set_addition(net, game, i):
+    """(-gain, size, targets) of player i's best set addition, by scoring every
+    non-empty set of her non-player non-neighbours, or None if none pays."""
+    candidates = [t for t in net.nonplayers if t not in net.neighbours(i)]
+    best = None
+    for r in range(1, len(candidates) + 1):
+        for targets in itertools.combinations(candidates, r):
+            gain = _set_addition_gain(net, game, i, targets)[0]
+            if gain > 0 and (best is None or (-gain, r, targets) < best):
+                best = (-gain, r, targets)
+    return best
 
 
 def _state_with_sole_covers(rng):
@@ -134,6 +149,69 @@ def test_sole_cover_skip_against_oracle():
     assert checked > 1000 and shrunk > 30 and moved > 10
 
 
+def test_set_addition_cut_matches_subset_enumeration():
+    # the cut search returns the enumeration's best set: largest gain, then
+    # fewest targets, then lexicographic; states whose held non-players are
+    # not interconnected need the forced cuts, and the level game sets each
+    # alpha_i to her best single target's gain at alpha 0, where equal gains
+    # are more common
+    rng = random.Random(0x5E7)
+    paying = forced = tied = 0
+    for _ in range(300):
+        net, first = _state_with_sole_covers(rng)
+        level = GameSpec([
+            max(
+                (_set_addition_gain(net, GameSpec([F(0)] * net.num_players), i, (t,))[0]
+                 for t in net.nonplayers if t not in net.neighbours(i)),
+                default=0,
+            )
+            for i in net.players
+        ])
+        for game, i in itertools.product((first, level), net.players):
+            want = _enumerated_set_addition(net, game, i)
+            found = improving_set_addition(net, game, i)
+            assert (found is None) == (want is None)
+            if want is None:
+                continue
+            paying += 1
+            coalition, new_edges = found
+            targets = tuple(sorted(b for a, b in new_edges - net.edges if a == i))
+            assert coalition == (i,) and targets == want[2]
+            gain, added = _set_addition_gain(net, game, i, targets)
+            assert new_edges == net.edges | added
+            assert make_move(net, game, coalition, new_edges).deltas[i] == F(gain, game.ratio(i)[1])
+            forced += bool(_missing_pairs(net, net.nonplayer_neighbours(i)))
+            candidates = [t for t in net.nonplayers if t not in net.neighbours(i)]
+            tied += sum(
+                _set_addition_gain(net, game, i, t)[0] == gain
+                for r in range(1, len(candidates) + 1)
+                for t in itertools.combinations(candidates, r)
+            ) > 1
+    assert paying > 600 and forced > 100 and tied > 5
+
+
+def test_set_addition_ties_take_fewest_then_first_targets():
+    # player 1 holds 3, 4, 5 with no pair among them, and 6, 7, 8 are
+    # isolated: at alpha 10 one target and all three each gain 3 (the
+    # interconnection worth 6 less 3), two targets gain 2; only the forced
+    # cuts see a non-empty set
+    net = build_network(2, 6, [(1, 3), (1, 4), (1, 5)])
+    game = GameSpec([F(10), F(10)])
+    gains = {t: _set_addition_gain(net, game, 1, t)[0] for t in [(6,), (7,), (6, 7), (6, 7, 8)]}
+    assert gains == {(6,): 3, (7,): 3, (6, 7): 2, (6, 7, 8): 3}
+    coalition, new_edges = improving_set_addition(net, game, 1)
+    assert new_edges - net.edges == {(1, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)}
+
+
+def test_set_addition_search_is_polynomial_in_m():
+    # 2^20 target sets per player before; one cut each now
+    rng = random.Random(0x620)
+    game = GameSpec([F(rng.randint(40, 80)) for _ in range(6)])
+    assert least_pans(game, 20).edges == least_closed_form(game, 20).predicted.edges
+    lone = GameSpec([F(0)] + [F(100)] * 39)
+    assert is_pane(greatest_pans(lone, 20), lone).stable
+
+
 def _large_instance(rng, n, m):
     den = rng.choice([1, 2, 3, 4])
     game = GameSpec([F(rng.randint(0, 2 * (n + m) * den), den) for _ in range(n)])
@@ -158,6 +236,15 @@ def test_least_closed_form_equals_fixpoint_up_to_n20():
     rng = random.Random(0x20)
     for n in (5, 10, 15, 20):
         for _ in range(2):
+            m = n // 2
+            game, e0 = _large_instance(rng, n, m)
+            assert least_closed_form(game, m, e0).predicted.edges == least_pans(game, m, e0).edges
+
+
+def test_least_closed_form_equals_fixpoint_up_to_n40():
+    rng = random.Random(0x41)
+    for n in (10, 20, 30, 40):
+        for _ in range(3):
             m = n // 2
             game, e0 = _large_instance(rng, n, m)
             assert least_closed_form(game, m, e0).predicted.edges == least_pans(game, m, e0).edges

@@ -192,6 +192,26 @@ def test_neighbours_are_a_sorted_tuple_and_unknown_nodes_raise(example1):
             net.neighbours(v)
 
 
+def test_a_validated_state_sorts_its_adjacency_once(monkeypatch):
+    from hidenet import model
+
+    calls = []
+    real = model._sorted_adjacency
+    monkeypatch.setattr(model, "_sorted_adjacency", lambda *a: calls.append(1) or real(*a))
+    edges = complete_edges(12)
+    net = build_network(8, 4, edges)
+    assert net.neighbours(9) == tuple(v for v in range(1, 13) if v != 9)
+    assert sole_cover_count(net, 9, 1) == 0
+    assert len(calls) == 1
+    # the seeded index is the one the state computes for itself
+    fresh = net.with_edges_unchecked(net.edges)
+    assert fresh._index == net._index and len(calls) == 2
+    # player 2 covers (3, 4) too, so player 1 alone holds (3, 5) and (4, 5)
+    shared = build_network(2, 3, [(1, 3), (1, 4), (1, 5), (3, 4), (3, 5), (4, 5), (2, 3), (2, 4)])
+    assert shared._index == shared.with_edges_unchecked(shared.edges)._index
+    assert [sole_cover_count(shared, j, 1) for j in (3, 4, 5)] == [1, 1, 2]
+
+
 REMOVED = (
     "PlayerStrategy",
     "StrategyProfile",
