@@ -28,7 +28,6 @@ from .model import (
     require_strength,
     utility,
 )
-from .moves import blocking_pair
 from .stability import first_violation, is_nash_stable, is_pane
 
 Ratio = Union[Fraction, float]
@@ -83,7 +82,7 @@ def _clique_form(
     if ranked_in:
         members = frozenset(label for _, label in ranked_in) | frozenset(range(n + 1, n + m + 1))
     predicted = _clique_network(game, m, members, original_edges)
-    if blocking_pair(predicted, game) is None:
+    if first_violation(predicted, game, ("missing-player-pair",)) is None:
         size = len(ranked_in) + m - 1
         welfare = Fraction(size) * sum((size - a for a, _ in ranked_in), Fraction(0))
         return ClosedFormResult(threshold, members, predicted, welfare)
@@ -240,7 +239,7 @@ class EfficiencyReport:
 
 
 def equal_alpha_efficiency(
-    game: GameSpec, num_nonplayers: int, k: int = 1
+    game: GameSpec, num_nonplayers: int, k: int = 1, *, original_edges: Iterable = ()
 ) -> EfficiencyReport:
     """Welfare extremes and prices for equal alphas, by the case split.
 
@@ -256,10 +255,8 @@ def equal_alpha_efficiency(
     n, m = game.num_players, num_nonplayers
     max_sw = equal_alpha_max_sw(n, m, alpha)
     bound = additive_bound(game, num_nonplayers)
-    complete = _clique_network(
-        game, m, frozenset(range(1, n + m + 1)), ()
-    )
-    empty = build_network(n, m, (), ())
+    complete = _clique_network(game, m, frozenset(range(1, n + m + 1)), original_edges)
+    empty = build_network(n, m, (), original_edges)
     if alpha < max(1, m):
         return EfficiencyReport(k, max_sw, max_sw, max_sw, Fraction(1), Fraction(1), bound, complete)
     if alpha > n + m - 1:
@@ -321,7 +318,7 @@ def check_one_distinct(net: Network, game: GameSpec, k: int = 1) -> bool:
 
 
 def one_distinct_efficiency(
-    game: GameSpec, num_nonplayers: int, k: int = 1
+    game: GameSpec, num_nonplayers: int, k: int = 1, *, original_edges: Iterable = ()
 ) -> EfficiencyReport:
     """Welfare extremes and prices for one distinct alpha.
 
@@ -351,7 +348,9 @@ def one_distinct_efficiency(
     )
     bound = additive_bound(game, num_nonplayers)
     all_nodes = frozenset(range(1, n + m + 1))
-    witness = _clique_network(game, m, all_nodes if extra > 0 else all_nodes - {1}, ())
+    witness = _clique_network(
+        game, m, all_nodes if extra > 0 else all_nodes - {1}, original_edges
+    )
     if a1 < t:
         min_eq = max_eq = full
     elif a1 > t:

@@ -98,14 +98,14 @@ def _characterize(net: Network, game: GameSpec, args, m: int, e0) -> dict:
             "component_C": sorted(structure.component_C),
         }
         payload["efficiency"] = reports.efficiency_dict(
-            analytics.equal_alpha_efficiency(game, m, args.k)
+            analytics.equal_alpha_efficiency(game, m, args.k, original_edges=e0)
         )
     elif all(a < 1 for a in game.alphas[1:]):
         payload["class"] = "one-distinct-alpha"
         payload["graph_is_stable"] = analytics.check_one_distinct(net, game, args.k)
         if len(set(game.alphas[1:])) == 1:
             payload["efficiency"] = reports.efficiency_dict(
-                analytics.one_distinct_efficiency(game, m, args.k)
+                analytics.one_distinct_efficiency(game, m, args.k, original_edges=e0)
             )
     else:
         payload["class"] = "general"

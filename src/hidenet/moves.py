@@ -52,7 +52,6 @@ from .model import (
     GameSpec,
     Network,
     adjacency,
-    build_network,
     edge,
     scaled_utilities,
     sole_cover_counts,
@@ -64,12 +63,13 @@ DEFAULT_MOVE_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class DeviationMove:
-    """A profitable coalition deviation, replayable on the base network."""
+    """A profitable coalition deviation: who moves, which edges change, and
+    each member's exact utility gain.  It replays on the base network as
+    ``(net.edges - deleted_edges) | added_edges``."""
 
     coalition: tuple[int, ...]
     deleted_edges: frozenset[Edge]
     added_edges: frozenset[Edge]
-    result: Network
     deltas: dict[int, Fraction]
 
 
@@ -154,9 +154,6 @@ def coalition_adjacency_choices(
 def make_move(
     net: Network, game: GameSpec, coalition: Sequence[int], new_edges: frozenset[Edge]
 ) -> DeviationMove:
-    result = build_network(
-        net.num_players, net.num_nonplayers, new_edges, net.original_edges
-    )
     members = sorted(coalition)
     base = scaled_utilities(net.edges, net.num_nodes, game.ratios, members)
     after = scaled_utilities(new_edges, net.num_nodes, game.ratios, members)
@@ -167,7 +164,6 @@ def make_move(
         coalition=tuple(members),
         deleted_edges=net.edges - new_edges,
         added_edges=new_edges - net.edges,
-        result=result,
         deltas=deltas,
     )
 
@@ -341,12 +337,6 @@ def _smallest_min_cut_side(
             cap[v][u] = cap[v].get(u, 0) + flow
 
 
-def link_score(net: Network, game: GameSpec, i: int, j: int) -> int:
-    """q_i times i's gain from a new edge to player j: deg(j) + 1 - alpha_i."""
-    p, q = game.ratio(i)
-    return _link_gain(p, q, net.degree(j))
-
-
 def blocking_partner(net: Network, game: GameSpec, i: int) -> Optional[int]:
     """First player j > i whose missing edge to i blocks (both weakly gain,
     one strictly), if any."""
@@ -364,11 +354,19 @@ def blocking_partner(net: Network, game: GameSpec, i: int) -> Optional[int]:
 
 def blocking_pair(net: Network, game: GameSpec) -> Optional[Edge]:
     """Missing player pair both sides weakly want, one strictly (first in
-    lexicographic order)."""
-    for i in net.players:
-        j = blocking_partner(net, game, i)
-        if j is not None:
-            return (i, j)
+    lexicographic order).
+
+    The coalition search's pair check: each link is scored as
+    :func:`first_coalition_move` scores a move, on the edge sets before and
+    after it, and not by the fast route's marginals (``blocking_partner``).
+    """
+    scores = scaled_utilities(net.edges, net.num_nodes, game.ratios, net.players)
+    for pair in itertools.combinations(net.players, 2):
+        if pair in net.edges:
+            continue
+        after = scaled_utilities(net.edges | {pair}, net.num_nodes, game.ratios, pair)
+        if improves_all([scores[i - 1] for i in pair], after):
+            return pair
     return None
 
 

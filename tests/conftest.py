@@ -27,6 +27,12 @@ def relabel_edges(perm, edges):
     )
 
 
+def replay(net, move):
+    """The state a witness move leads to, ``(net.edges - deleted) | added``,
+    rebuilt through ``build_network``, so an infeasible witness is refused."""
+    return net.with_edges((net.edges - move.deleted_edges) | move.added_edges)
+
+
 @pytest.fixture
 def example1():
     """Two infiltrators, three bystanders, the played (unstable) state."""

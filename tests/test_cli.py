@@ -9,8 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_instance
-from hidenet import GameSpec, build_network, greatest_pans, is_k_strong, utility
+from conftest import random_instance, replay
+from hidenet import DeviationMove, GameSpec, build_network, greatest_pans, is_k_strong, utility
 from hidenet.cli import main, run_command
 from hidenet.gamefile import serialize_game, serialize_graph
 from hidenet.oracle import FeasibleGraphSet, candidate_edge_count
@@ -103,6 +103,21 @@ def test_characterize_equal_alpha():
     assert payload["class"] == "equal-alpha"
     assert payload["graph_is_stable"] is True
     assert payload["efficiency"]["poa"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "alphas, m, e0",
+    [((F(2), F(2)), 3, [(3, 4), (3, 5), (4, 5)]), ((F(9), F(1, 2), F(1, 2)), 2, [(4, 5)])],
+    ids=["equal-alpha", "one-distinct-alpha"],
+)
+def test_characterize_efficiency_witness_keeps_the_original_edges(tmp_path, alphas, m, e0):
+    game_file = tmp_path / "e0.game"
+    game_file.write_text(serialize_game(build_network(len(alphas), m, e0, e0), GameSpec(alphas)))
+    code, out = run("characterize", "--game", str(game_file))
+    assert code == 0
+    witness = json.loads(out)["report"]["efficiency"]["max_sw_witness"]
+    assert witness["original_edges"] == [list(e) for e in e0]
+    assert not {(j, l) for j, l, _ in witness["sustainers"]} & set(e0)
 
 
 def test_detect_command():
@@ -387,11 +402,13 @@ def test_verify_k1_settles_large_graphs_without_coalition_search(tmp_path):
 def _replays(net, game, witness):
     """The reported move, rebuilt from the JSON, gives its deltas through
     ``model.utility``; every member weakly gains and one strictly."""
-    new_edges = (net.edges - {tuple(e) for e in witness["deleted_edges"]}) | {
-        tuple(e) for e in witness["added_edges"]
-    }
-    after = build_network(net.num_players, net.num_nonplayers, new_edges, net.original_edges)
-    before, now = utility(net, game), utility(after, game)
+    move = DeviationMove(
+        tuple(witness["coalition"]),
+        frozenset(tuple(e) for e in witness["deleted_edges"]),
+        frozenset(tuple(e) for e in witness["added_edges"]),
+        {int(i): F(d) for i, d in witness["deltas"].items()},
+    )
+    before, now = utility(net, game), utility(replay(net, move), game)
     gains = {str(i): now.of(i) - before.of(i) for i in witness["coalition"]}
     assert {i: str(g) for i, g in gains.items()} == witness["deltas"]
     return min(gains.values()) >= 0 and max(gains.values()) > 0

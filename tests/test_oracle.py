@@ -27,7 +27,7 @@ from hidenet import (
 from hidenet import oracle
 from hidenet.oracle import candidate_edge_count
 
-from conftest import complete_edges, random_instance
+from conftest import complete_edges, random_instance, replay
 from strategic import improving_coalition_move
 
 
@@ -194,12 +194,11 @@ def test_oracle_reports_are_deterministic(fig2_game):
 def test_witness_replay_through_model(fig3_game, fig3_graphs):
     _, g2, _ = fig3_graphs
     move = exhaustive_stability(g2, fig3_game, 3).witness
+    assert move.deleted_edges <= g2.edges and not move.added_edges & g2.edges
     before = utility(g2, fig3_game)
-    after = utility(move.result, fig3_game)
+    after = utility(replay(g2, move), fig3_game)
     for i in move.coalition:
         assert after.of(i) - before.of(i) == move.deltas[i]
-    rebuilt = g2.with_edges((g2.edges - move.deleted_edges) | move.added_edges)
-    assert rebuilt.edges == move.result.edges
 
 
 def _count_builds(monkeypatch) -> list:
@@ -376,24 +375,33 @@ def test_pans_masks_equal_the_structural_and_search_routes():
 
 
 def test_exhaustive_stability_agrees_and_witnesses_replay():
+    """On every feasible state, the three routes agree with the oracle's
+    tables, and each witness replays to a feasible state whose utilities
+    give its deltas: every member weakly gains, one strictly."""
     for game, m, e0 in _kernel_instances():
         fgs = enumerate_feasible_graphs(game, m, e0)
         stable = {k: set(fgs.pans_masks(k)) for k in (1, 2)}
         for t in fgs.masks:
             net = fgs.network(int(t))
             before = utility(net, game)
+            oracle_verdicts = {k: exhaustive_stability(net, game, k) for k in (1, 2)}
+            verdicts = [(1, is_pane(net, game)), *oracle_verdicts.items()]
+            verdicts += [(k, is_k_strong(net, game, k)) for k in (1, 2)]
             checked = []
-            for k in (1, 2):
-                verdict = exhaustive_stability(net, game, k)
+            for k, verdict in verdicts:
                 assert verdict.stable == (int(t) in stable[k])
                 move = verdict.witness
                 if verdict.stable or move in checked:
                     continue
                 checked.append(move)
-                after = utility(move.result, game)
+                after = utility(replay(net, move), game)
                 gains = [after.of(i) - before.of(i) for i in move.coalition]
                 assert gains == [move.deltas[i] for i in move.coalition]
                 assert min(gains) >= 0 and max(gains) > 0
+            for k, verdict in oracle_verdicts.items():
+                if verdict.stable:
+                    continue
+                move = verdict.witness
                 # the same first move as the coalition search, else a blocking pair
                 searched = (
                     improving_coalition_move(net, game, move.coalition)
@@ -403,7 +411,7 @@ def test_exhaustive_stability_agrees_and_witnesses_replay():
                     assert not move.deleted_edges and len(move.added_edges) == 1
                     assert move.coalition == next(iter(move.added_edges))
                 else:
-                    assert move.result.edges == searched
+                    assert replay(net, move).edges == searched
 
 
 def test_nash_flags_do_not_depend_on_the_block_size(monkeypatch):

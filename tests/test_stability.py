@@ -25,7 +25,7 @@ from hidenet.moves import (
 from hidenet.oracle import FeasibleGraphSet, candidate_edge_count
 from hidenet.stability import ADDITIONS, CONDITIONS, DELETIONS
 
-from conftest import random_instance
+from conftest import random_instance, replay
 from strategic import PlayerStrategy, StrategyProfile, minimal_profile, resulting_network
 
 
@@ -84,7 +84,7 @@ def test_witness_replays_exactly(fig2_game):
     empty = build_network(4, 0, [])
     move = is_k_strong(empty, fig2_game, 3).witness
     before = utility(empty, fig2_game)
-    after = utility(move.result, fig2_game)
+    after = utility(replay(empty, move), fig2_game)
     for i in move.coalition:
         assert after.of(i) - before.of(i) == move.deltas[i]
     assert all(d >= 0 for d in move.deltas.values())
@@ -137,7 +137,7 @@ def _replays(net, game, verdict):
     """The witness is a profitable move: recomputed utilities give its
     deltas, every member weakly gains and one strictly."""
     move = verdict.witness
-    before, after = utility(net, game), utility(move.result, game)
+    before, after = utility(net, game), utility(replay(net, move), game)
     gains = [after.of(i) - before.of(i) for i in move.coalition]
     assert gains == [move.deltas[i] for i in move.coalition]
     return min(gains) >= 0 and max(gains) > 0
@@ -233,6 +233,6 @@ def test_integer_coalition_scores_match_fraction_utilities():
                     moved += 1
                     coalition, new_edges = found
                     move = make_move(net, game, coalition, new_edges)
-                    base, after = utility(net, game), utility(move.result, game)
+                    base, after = utility(net, game), utility(replay(net, move), game)
                     assert move.deltas == {i: after.of(i) - base.of(i) for i in coalition}
     assert moved and moved < checked
