@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import PreconditionError, ValidationError
+from .lattice import least_pans
 from .model import (
     GameSpec,
     Network,
@@ -65,32 +66,17 @@ def _clique_form(
     original_edges,
     threshold: int,
     ranked_in: list[tuple[Fraction, int]],
-    grow: bool,
 ) -> ClosedFormResult:
     """The clique of the ``ranked_in`` (alpha, label) players and every
-    non-player, or no clique when no player joins, and its welfare.
-
-    The threshold formulas assume joining is strictly attractive or
-    strictly repellent; when an alpha equals a post-addition degree
-    exactly, an indifferent node can still be pulled in by a strictly
-    gaining partner and the clean clique prediction under- or over-shoots.
-    When it admits a blocking player pair, the fixpoint (the least one
-    when ``grow``) is authoritative.
-    """
+    non-player, or no clique when no player joins, and its welfare."""
     n, m = game.num_players, num_nonplayers
     members = frozenset()
     if ranked_in:
         members = frozenset(label for _, label in ranked_in) | frozenset(range(n + 1, n + m + 1))
     predicted = _clique_network(game, m, members, original_edges)
-    if first_violation(predicted, game, ("missing-player-pair",)) is None:
-        size = len(ranked_in) + m - 1
-        welfare = Fraction(size) * sum((size - a for a, _ in ranked_in), Fraction(0))
-        return ClosedFormResult(threshold, members, predicted, welfare)
-    from .lattice import greatest_pans, least_pans
-
-    settled = (least_pans if grow else greatest_pans)(game, num_nonplayers, original_edges)
-    members = frozenset(v for v in settled.nodes if settled.degree(v) > 0)
-    return ClosedFormResult(threshold, members, settled, utility(settled, game).sw)
+    size = len(ranked_in) + m - 1
+    welfare = Fraction(size) * sum((size - a for a, _ in ranked_in), Fraction(0))
+    return ClosedFormResult(threshold, members, predicted, welfare)
 
 
 def greatest_closed_form(
@@ -100,7 +86,12 @@ def greatest_closed_form(
 
     The clique boundary can never split a group of equal alphas (the
     membership condition is monotone in the sorted index within a group),
-    so the label choice under ties is immaterial.
+    so the label choice under ties is immaterial.  No missing player pair
+    blocks the clique, ties included, since p is the largest i with
+    i + m - 1 >= alpha_(i): an outsider strictly loses by linking to a
+    member (alpha > p + m, the member's degree plus one), and of two
+    outsiders the one with the larger alpha strictly loses by linking
+    (alpha > 1, as alpha_(i) > i + m - 1 for every outsider i).
     """
     n, m = game.num_players, num_nonplayers
     ranked = _sorted_alphas(game)
@@ -108,13 +99,20 @@ def greatest_closed_form(
     for i in range(1, n + 1):
         if i + m - 1 >= ranked[i - 1][0]:
             p = i
-    return _clique_form(game, m, original_edges, p, ranked[:p], grow=False)
+    return _clique_form(game, m, original_edges, p, ranked[:p])
 
 
 def least_closed_form(
     game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()
 ) -> ClosedFormResult:
-    """Shape and welfare of the least stable graph, without fixpoints."""
+    """Shape and welfare of the least stable graph, without fixpoints.
+
+    The threshold formula assumes joining is strictly attractive or
+    strictly repellent; when an alpha equals a post-addition degree
+    exactly, an indifferent player can still be pulled in by a strictly
+    gaining partner.  When the clique admits such a blocking player pair,
+    the least fixpoint is authoritative.
+    """
     n, m = game.num_players, num_nonplayers
     ranked = _sorted_alphas(game)
     q = n + 1
@@ -122,7 +120,12 @@ def least_closed_form(
         if ranked[i - 1][0] >= max(1, i + m - 1):
             q = i
             break
-    return _clique_form(game, m, original_edges, q, ranked[: q - 1], grow=True)
+    form = _clique_form(game, m, original_edges, q, ranked[: q - 1])
+    if first_violation(form.predicted, game, ("missing-player-pair",)) is None:
+        return form
+    settled = least_pans(game, m, original_edges)
+    members = frozenset(v for v in settled.nodes if settled.degree(v) > 0)
+    return ClosedFormResult(q, members, settled, utility(settled, game).sw)
 
 
 # -- equal alphas --------------------------------------------------------------

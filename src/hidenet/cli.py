@@ -60,11 +60,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    """An input file's text; one that is not UTF-8 is a validation error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_game(args) -> tuple[Network, GameSpec]:
     if not args.game:
         raise ValidationError(f"{args.command} needs --game")
-    with open(args.game, encoding="utf-8") as fh:
-        return parse_game_file(fh.read())
+    return parse_game_file(_read(args.game))
 
 
 def _load_graphs(args, base: Network, want: int) -> list[Network]:
@@ -72,11 +80,7 @@ def _load_graphs(args, base: Network, want: int) -> list[Network]:
         raise ValidationError(
             f"{args.command} needs exactly {want} --graph file(s), got {len(args.graph)}"
         )
-    nets = []
-    for path in args.graph:
-        with open(path, encoding="utf-8") as fh:
-            nets.append(parse_graph_file(fh.read(), base))
-    return nets
+    return [parse_graph_file(_read(path), base) for path in args.graph]
 
 
 def _characterize(net: Network, game: GameSpec, args, m: int, e0) -> dict:
@@ -153,14 +157,18 @@ def _dispatch(args) -> dict:
     if command == "detect":
         if len(args.graph) != 1:
             raise ValidationError("detect needs exactly one --graph file")
-        with open(args.graph[0], encoding="utf-8") as fh:
-            num_nodes, edges = parse_plain_graph(fh.read())
+        num_nodes, edges = parse_plain_graph(_read(args.graph[0]))
         report = detection.detect_infiltration(
             num_nodes, edges, as_fraction(args.beta), args.slack
         )
         return {"command": "detect", "report": reports.detection_dict(report)}
 
     base, game = _load_game(args)
+    if command in ("enumerate", "efficiency", "oracle-check"):
+        from importlib.util import find_spec
+
+        if find_spec("numpy") is None:  # the oracle's tables are numpy arrays
+            raise ValidationError(f"{command} needs numpy, which is not installed")
     m = base.num_nonplayers
     e0 = base.original_edges
 

@@ -27,7 +27,6 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 from .errors import ValidationError
 
 Edge = tuple[int, int]
-_NONE_SOLE: tuple[dict, dict] = ({}, {})  # shared by states with no sole cover
 
 
 def edge(a: int, b: int) -> Edge:
@@ -150,10 +149,10 @@ class Network:
         return 1 <= v <= self.num_players
 
     @cached_property
-    def _index(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]], dict]:
-        """Sorted neighbour tuples indexed by node (slot 0 empty), the added
-        non-player pairs keyed by their only covering player, and counts of
-        those by (non-player, player).  ``build_network`` seeds it."""
+    def _index(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]]]:
+        """Sorted neighbour tuples indexed by node (slot 0 empty), and the
+        added non-player pairs keyed by their only covering player.
+        ``build_network`` seeds it."""
         return _index_of(
             *_covers(self.num_players, self.num_nodes, self.original_edges, self.edges)
         )
@@ -232,19 +231,13 @@ def _covers(
 
 def _index_of(
     nbrs: tuple[tuple[int, ...], ...], covers: Mapping[Edge, list[int]]
-) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]], dict]:
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]]]:
     """``Network._index`` from the output of :func:`_covers`."""
     sole: dict[int, list[Edge]] = {}
-    counts: dict[tuple[int, int], int] = {}
     for e, cover in covers.items():
         if len(cover) == 1:
-            i = cover[0]
-            sole.setdefault(i, []).append(e)
-            for j in e:
-                counts[j, i] = counts.get((j, i), 0) + 1
-    if not sole:
-        return (nbrs, *_NONE_SOLE)
-    return nbrs, sole, counts
+            sole.setdefault(cover[0], []).append(e)
+    return nbrs, sole
 
 
 def _assign_sustainers(
@@ -372,20 +365,9 @@ def adjacency(net: Network) -> tuple[tuple[int, ...], ...]:
     return net._index[0]
 
 
-def sole_cover_counts(net: Network) -> Mapping[tuple[int, int], int]:
-    """:func:`sole_cover_count` of every (j, i) where it is not zero."""
-    return net._index[2]
-
-
-def sole_cover_count(net: Network, j: int, i: int) -> int:
-    """Added non-player edges at j that die if player i drops edge (i, j).
-
-    An added non-player edge needs some player adjacent to both endpoints;
-    it outlives i's withdrawal exactly when another player covers it.
-    """
-    return net._index[2].get((j, i), 0)
-
-
 def sole_covered_pairs(net: Network, i: int) -> list[Edge]:
-    """Added non-player pairs whose only common player neighbour is i."""
+    """Added non-player pairs whose only common player neighbour is i: the
+    pairs that die if she drops an edge to either end.  An added non-player
+    pair needs some player adjacent to both endpoints, and outlives i's
+    withdrawal exactly when another player covers it."""
     return net._index[1].get(i, [])

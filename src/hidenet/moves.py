@@ -29,34 +29,19 @@ q_i * S_i - p_i * deg(i), S_i being the sum of her neighbours' degrees.
 The coalition search scores each member so on the edge sets before and
 after a move (:func:`model.scaled_utilities`, which reads nothing cached
 on the network), and builds ``Fraction`` gains only for the witness it
-returns.
-The fast route (the structural checker and the fixpoints) scores the
-moving player alone, from marginals: it compares q_i * dS_i with
-p_i * d deg(i).  Her deletion bundles are searched only if she alone
-covers an added non-player pair; otherwise her drop scores add up
-(complementarity).
+returns.  The fast route's single-player marginals live in ``stability``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .model import (
-    Edge,
-    GameSpec,
-    Network,
-    adjacency,
-    edge,
-    scaled_utilities,
-    sole_cover_counts,
-    sole_covered_pairs,
-)
+from .model import Edge, GameSpec, Network, edge, scaled_utilities
 
 DEFAULT_MOVE_BUDGET = 2_000_000
 
@@ -220,145 +205,13 @@ def improves_all(base: Sequence[int], after: Sequence[int]) -> bool:
     return min(deltas) >= 0 and max(deltas) > 0
 
 
-# -- exact single-player marginals of the fast route --------------------------
-#
-# Each marginal has one formula, and the scans read the state's index once
-# per call (``model.adjacency``, ``model.sole_cover_counts``): the drop
-# gains are a batch over nodes (one drop is a batch of one), the link gain
-# a formula over plain integers.
-
-
-def _drop_gains(net: Network, game: GameSpec, i: int, nodes: Sequence[int]) -> list[int]:
-    """q_i times i's gain from dropping her edge to each of ``nodes`` alone:
-    alpha_i - deg(j), less the pairs at j that only i holds together."""
-    nbrs, sole = adjacency(net), sole_cover_counts(net)
-    p, q = game.ratio(i)
-    return [p - q * (len(nbrs[j]) + sole.get((j, i), 0)) for j in nodes]
-
-
-def _link_gain(p: int, q: int, degree: int) -> int:
-    """q times the gain, at alpha = p / q, from a new edge to a node of
-    ``degree``: it adds degree + 1 to S and one to the mover's degree."""
-    return q * (degree + 1) - p
-
-
-def drop_score(net: Network, game: GameSpec, i: int, j: int) -> int:
-    """q_i times i's gain from dropping her edge to j alone."""
-    return _drop_gains(net, game, i, (j,))[0]
-
-
-def profitable_drops(net: Network, game: GameSpec, i: int, players: bool) -> list[int]:
-    """i's player (or non-player) neighbours whose single drop pays, ascending.
-
-    A drop never lowers i's other drop scores (a forfeited pair (j, l)
-    takes one from deg(l) and one from l's sole covers at once), so all
-    can go together; afterwards more of them may pay.
-    """
-    own = adjacency(net)[i]
-    split = bisect_right(own, net.num_players)
-    scan = own[:split] if players else own[split:]
-    if not scan:
-        return []
-    return [j for j, gain in zip(scan, _drop_gains(net, game, i, scan)) if gain > 0]
-
-
-def pure_deletion(net: Network, i: int, dropped) -> frozenset[Edge]:
-    """Edge set after i drops her edges to ``dropped``, with the pairs only
-    she holds together there (the survive-only closure of a feasible state)."""
-    gone = {edge(i, j) for j in dropped}
-    gone.update(e for e in sole_covered_pairs(net, i) if e[0] in dropped or e[1] in dropped)
-    return net.edges - gone
-
-
-def bundles_can_pay(net: Network, i: int) -> bool:
-    """Whether a deletion bundle of i can pay when no single drop does: only
-    if she alone covers some added non-player pair.  Otherwise her drop
-    scores add up (complementarity) and the single-drop tests settle her."""
-    return bool(sole_covered_pairs(net, i))
-
-
-def improving_pure_deletion(
-    net: Network, game: GameSpec, i: int
-) -> Optional[frozenset[Edge]]:
-    """Best strictly-improving pure-deletion move of a single player.
-
-    Returns the edge set of the best move (largest gain, then fewest
-    deletions, then lexicographic), or None when no deletion pays.  Drop
-    scores add up over the nodes that end no pair only i covers.  Over the
-    other nodes j, the sum of p_i - q_i deg(j) less q_i per such pair cut
-    in two is a cut function: its best sets are closed under union and
-    intersection, so the one with fewest deletions is unique, and it is
-    the smallest minimum cut of a small flow network.  Nothing is enumerated.
-    """
-    p, q = game.ratio(i)
-    nbrs = adjacency(net)
-    pairs = sole_covered_pairs(net, i)
-    loss = {j: q * len(nbrs[j]) - p for e in pairs for j in e}
-    bundle = _smallest_min_cut_side(loss, pairs, q)
-    cut = sum((a in bundle) != (b in bundle) for a, b in pairs)
-    others = [j for j in nbrs[i] if j not in loss]
-    free = {j for j, gain in zip(others, _drop_gains(net, game, i, others)) if gain > 0}
-    if not free and sum(loss[j] for j in bundle) + q * cut >= 0:
-        return None
-    return pure_deletion(net, i, free | bundle)
-
-
-def _smallest_min_cut_side(
-    weight: dict[int, int], pairs: Iterable[Edge], pair_cost: int
-) -> set[int]:
-    """Smallest D minimising sum(weight over D) + pair_cost * (pairs with one
-    end in D): what the source still reaches after an Edmonds-Karp flow.
-
-    Every node of ``pairs`` must have a weight.  Both bundle searches use
-    it: deletions (D the dropped nodes) and additions (D the targets, see
-    ``stability.improving_set_addition``).
-    """
-    source, sink = 0, -1
-    cap = {source: {j: -w for j, w in weight.items() if w < 0}, sink: {}}
-    cap.update((j, {sink: w} if w > 0 else {}) for j, w in weight.items())
-    for a, b in pairs:
-        cap[a][b] = cap[b][a] = pair_cost
-    while True:
-        parent = {source: source}
-        queue = [source]
-        for u in queue:
-            for v, c in cap[u].items():
-                if c > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return set(parent) - {source}
-        path = [sink]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        flow = min(cap[u][v] for v, u in zip(path, path[1:]))
-        for v, u in zip(path, path[1:]):
-            cap[u][v] -= flow
-            cap[v][u] = cap[v].get(u, 0) + flow
-
-
-def blocking_partner(net: Network, game: GameSpec, i: int) -> Optional[int]:
-    """First player j > i whose missing edge to i blocks (both weakly gain,
-    one strictly), if any."""
-    nbrs, ratios = adjacency(net), game.ratios
-    own = nbrs[i]
-    p, q = ratios[i - 1]
-    for j in range(i + 1, net.num_players + 1):
-        if j in own:
-            continue
-        gain_i, gain_j = _link_gain(p, q, len(nbrs[j])), _link_gain(*ratios[j - 1], len(own))
-        if gain_i >= 0 and gain_j >= 0 and (gain_i > 0 or gain_j > 0):
-            return j
-    return None
-
-
 def blocking_pair(net: Network, game: GameSpec) -> Optional[Edge]:
     """Missing player pair both sides weakly want, one strictly (first in
     lexicographic order).
 
     The coalition search's pair check: each link is scored as
     :func:`first_coalition_move` scores a move, on the edge sets before and
-    after it, and not by the fast route's marginals (``blocking_partner``).
+    after it, and not by the fast route's marginals.
     """
     scores = scaled_utilities(net.edges, net.num_nodes, game.ratios, net.players)
     for pair in itertools.combinations(net.players, 2):

@@ -8,6 +8,14 @@ the fixpoints also apply, while
 :func:`is_k_strong` runs a literal deviation search over coalition moves.
 The oracle module re-implements the search a third way on bitmask tables;
 cross-validation compares all of them.
+
+The fast route (the structural checker and the fixpoints) lives here and
+scores the moving player alone, from marginals: with alpha_i = p_i / q_i
+it compares q_i * dS_i with p_i * d deg(i).  Her deletion bundles are
+searched only if she alone covers an added non-player pair; otherwise her
+drop scores add up (complementarity).  From ``moves`` it takes only the
+witness a verdict reports; the coalition route there scores whole edge
+sets and reads none of these marginals.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .model import (
     Edge,
@@ -25,21 +33,15 @@ from .model import (
     edge,
     require_alpha_count,
     require_strength,
+    sole_covered_pairs,
 )
 from .moves import (
     DeviationMove,
-    _link_gain,
-    _smallest_min_cut_side,
     blocking_pair,
-    blocking_partner,
-    bundles_can_pay,
     check_move_budget,
     coalition_adjacency_choices,
     first_coalition_move,
-    improving_pure_deletion,
     make_move,
-    profitable_drops,
-    pure_deletion,
 )
 
 
@@ -53,6 +55,73 @@ class StabilityVerdict:
 
     def __bool__(self) -> bool:
         return self.stable
+
+
+# -- exact single-player marginals -------------------------------------------
+#
+# Each marginal has one formula, and the scans read the state's index once
+# per call (``model.adjacency``, ``model.sole_covered_pairs``): the drop
+# gains are a batch over nodes, the link gain a formula over plain integers.
+
+
+def _drop_gains(net: Network, game: GameSpec, i: int, nodes: Sequence[int]) -> list[int]:
+    """q_i times i's gain from dropping her edge to each of ``nodes`` alone:
+    alpha_i - deg(j), less the pairs at j that only i holds together."""
+    nbrs = adjacency(net)
+    sole: dict[int, int] = {}
+    for e in sole_covered_pairs(net, i):
+        for j in e:
+            sole[j] = sole.get(j, 0) + 1
+    p, q = game.ratio(i)
+    return [p - q * (len(nbrs[j]) + sole.get(j, 0)) for j in nodes]
+
+
+def _link_gain(p: int, q: int, degree: int) -> int:
+    """q times the gain, at alpha = p / q, from a new edge to a node of
+    ``degree``: it adds degree + 1 to S and one to the mover's degree."""
+    return q * (degree + 1) - p
+
+
+def pure_deletion(net: Network, i: int, dropped) -> frozenset[Edge]:
+    """Edge set after i drops her edges to ``dropped``, with the pairs only
+    she holds together there (the survive-only closure of a feasible state)."""
+    gone = {edge(i, j) for j in dropped}
+    gone.update(e for e in sole_covered_pairs(net, i) if e[0] in dropped or e[1] in dropped)
+    return net.edges - gone
+
+
+def _smallest_min_cut_side(
+    weight: dict[int, int], pairs: Iterable[Edge], pair_cost: int
+) -> set[int]:
+    """Smallest D minimising sum(weight over D) + pair_cost * (pairs with one
+    end in D): what the source still reaches after an Edmonds-Karp flow.
+
+    Every node of ``pairs`` must have a weight.  Both bundle searches use
+    it: deletions (D the dropped nodes, :func:`_set_deletion`) and additions
+    (D the targets, :func:`improving_set_addition`).
+    """
+    source, sink = 0, -1
+    cap = {source: {j: -w for j, w in weight.items() if w < 0}, sink: {}}
+    cap.update((j, {sink: w} if w > 0 else {}) for j, w in weight.items())
+    for a, b in pairs:
+        cap[a][b] = cap[b][a] = pair_cost
+    while True:
+        parent = {source: source}
+        queue = [source]
+        for u in queue:
+            for v, c in cap[u].items():
+                if c > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return set(parent) - {source}
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        flow = min(cap[u][v] for v, u in zip(path, path[1:]))
+        for v, u in zip(path, path[1:]):
+            cap[u][v] -= flow
+            cap[v][u] = cap[v].get(u, 0) + flow
 
 
 def _missing_pairs(net: Network, nodes) -> set[Edge]:
@@ -86,7 +155,16 @@ Move = tuple[tuple[int, ...], frozenset[Edge]]
 
 def _drops_of(players: bool):
     def finder(net: Network, game: GameSpec, i: int) -> Optional[Move]:
-        drops = profitable_drops(net, game, i, players)
+        """i drops every player (or non-player) neighbour whose single drop
+        pays.  A drop never lowers her other drop scores (a forfeited pair
+        (j, l) takes one from deg(l) and one from l's sole covers at once),
+        so all can go together; afterwards more of them may pay."""
+        own = adjacency(net)[i]
+        split = bisect_right(own, net.num_players)
+        scan = own[:split] if players else own[split:]
+        if not scan:
+            return None
+        drops = [j for j, gain in zip(scan, _drop_gains(net, game, i, scan)) if gain > 0]
         return ((i,), pure_deletion(net, i, drops)) if drops else None
 
     return finder
@@ -155,8 +233,18 @@ def improving_set_addition(net: Network, game: GameSpec, i: int) -> Optional[Mov
 
 
 def _player_pair(net: Network, game: GameSpec, i: int) -> Optional[Move]:
-    j = blocking_partner(net, game, i)
-    return ((i, j), net.edges | {(i, j)}) if j is not None else None
+    """i and the first player j > i whose missing edge to her blocks (both
+    weakly gain, one strictly) add it."""
+    nbrs, ratios = adjacency(net), game.ratios
+    own = nbrs[i]
+    p, q = ratios[i - 1]
+    for j in range(i + 1, net.num_players + 1):
+        if j in own:
+            continue
+        gain_i, gain_j = _link_gain(p, q, len(nbrs[j])), _link_gain(*ratios[j - 1], len(own))
+        if gain_i >= 0 and gain_j >= 0 and (gain_i > 0 or gain_j > 0):
+            return (i, j), net.edges | {(i, j)}
+    return None
 
 
 def _interconnection(net: Network, game: GameSpec, i: int) -> Optional[Move]:
@@ -165,10 +253,30 @@ def _interconnection(net: Network, game: GameSpec, i: int) -> Optional[Move]:
 
 
 def _set_deletion(net: Network, game: GameSpec, i: int) -> Optional[Move]:
-    if not bundles_can_pay(net, i):
+    """i's best strictly-improving pure deletion (largest gain, then fewest
+    deletions, then lexicographic), searched only if she alone covers some
+    added non-player pair.  Otherwise her drop scores add up
+    (complementarity), and the single-drop conditions settle her.
+
+    Drop scores add up over the nodes that end no pair only i covers.  Over
+    the other nodes j, the sum of p_i - q_i deg(j) less q_i per such pair
+    cut in two is a cut function: its best sets are closed under union and
+    intersection, so the one with fewest deletions is unique, and it is the
+    smallest minimum cut of a small flow network.  Nothing is enumerated.
+    """
+    pairs = sole_covered_pairs(net, i)
+    if not pairs:
         return None
-    new_edges = improving_pure_deletion(net, game, i)
-    return ((i,), new_edges) if new_edges is not None else None
+    p, q = game.ratio(i)
+    nbrs = adjacency(net)
+    loss = {j: q * len(nbrs[j]) - p for e in pairs for j in e}
+    bundle = _smallest_min_cut_side(loss, pairs, q)
+    cut = sum((a in bundle) != (b in bundle) for a, b in pairs)
+    others = [j for j in nbrs[i] if j not in loss]
+    free = {j for j, gain in zip(others, _drop_gains(net, game, i, others)) if gain > 0}
+    if not free and sum(loss[j] for j in bundle) + q * cut >= 0:
+        return None
+    return (i,), pure_deletion(net, i, free | bundle)
 
 
 CONDITIONS = {
@@ -211,8 +319,7 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
     b. ``nonplayer-set-addition``: no player has a strictly improving
        set-addition to non-players.  Witness: her best target set (largest
        gain, then fewest targets, then lexicographic), with all her
-       non-player neighbours then interconnected; a minimum cut rather
-       than 2^m target sets.
+       non-player neighbours then interconnected.
     c. ``player-edge-deletion``: every player-player edge satisfies
        deg(j) >= alpha_i both ways.  Witness: as in a, for i's player edges.
     d. ``missing-player-pair``: no missing player pair blocks (both weakly
@@ -226,8 +333,7 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
        collateral and can beat every single drop, so the bundle search
        completes the test.  Other players' drop marginals add up
        (complementarity), so a and c settle their case and f skips them.
-       Witness: her best deletion (largest gain, then fewest deletions),
-       one small minimum cut rather than 2^deg(i) subsets.
+       Witness: her best deletion (largest gain, then fewest deletions).
 
     The fixpoints apply exactly these witnesses.
     """

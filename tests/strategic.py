@@ -42,7 +42,7 @@ def effective_degree(net: Network, j: int, k: int) -> int:
     """Number of k's neighbours that k alone interconnects with j.
 
     Counts added non-player edges (j, l) whose sustainer is k.  Deletion
-    marginals in the stability code use ``model.sole_cover_count``
+    marginals in the stability code count ``model.sole_covered_pairs``
     instead, which is attribution-free.
     """
     if net.is_player(j):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -70,6 +71,23 @@ def test_closed_forms_defer_at_threshold_ties():
     lf = least_closed_form(game, 0)
     assert lf.predicted.edges == frozenset({(1, 2)})
     assert lf.predicted.edges == least_pans(game, 0).edges
+
+
+def test_greatest_closed_form_is_the_greatest_fixpoint_at_ties():
+    # every alpha on the half-integer grid up to n + m meets each degree a
+    # clique member or outsider can have, so all threshold ties occur
+    checked = 0
+    for n, m in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1)]:
+        values = [F(k, 2) for k in range(2 * (n + m) + 1)]
+        for e0 in ([], [(n + 1, n + 2)]) if m >= 2 else ([],):
+            for alphas in itertools.combinations_with_replacement(values, n):
+                game = GameSpec(alphas)
+                cf = greatest_closed_form(game, m, e0)
+                greatest = greatest_pans(game, m, e0)
+                assert cf.predicted == greatest, (alphas, m, e0)
+                assert cf.welfare == utility(greatest, game).sw
+                checked += 1
+    assert checked > 3000
 
 
 # -- equal alphas ---------------------------------------------------------------

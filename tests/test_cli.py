@@ -313,6 +313,19 @@ def test_out_to_a_directory_exits_2(monkeypatch, capsys, tmp_path):
     _exits_2_without_traceback(monkeypatch, capsys, argv)
 
 
+@pytest.mark.parametrize("reader", ["game", "graph", "detect"])
+def test_a_file_that_is_not_utf8_exits_2(monkeypatch, capsys, tmp_path, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"[players]\n1 1\n2 \xff\n")
+    argv = {
+        "game": ["verify", "--game", str(bad)],
+        "graph": ["verify", "--game", fx("fig2.game"), "--graph", str(bad)],
+        "detect": ["detect", "--graph", str(bad)],
+    }[reader]
+    err = _exits_2_without_traceback(monkeypatch, capsys, argv)
+    assert str(bad) in err and "UTF-8" in err
+
+
 # -- numpy only for the oracle commands ------------------------------------------
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -372,6 +385,15 @@ def test_oracle_commands_load_it_on_demand():
     assert hidenet.FeasibleGraphSet is FeasibleGraphSet
     assert callable(cross_validate)
     assert {"FeasibleGraphSet", "cross_validate", "exhaustive_stability"} <= set(hidenet.__all__)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "efficiency", "oracle-check"])
+def test_oracle_commands_without_numpy_exit_2(monkeypatch, command):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails
+    monkeypatch.delitem(sys.modules, "hidenet.oracle", raising=False)
+    code, out = run(command, "--game", fx("fig2.game"))
+    assert code == 2
+    assert out.startswith("error:") and "numpy" in out and out.count("\n") == 1
 
 
 # -- verify runs the structural check first --------------------------------------

@@ -25,17 +25,16 @@ from hidenet import (
     max_included_pans,
 )
 from hidenet.fixpoint import require_no_profitable_deletion
-from hidenet.model import sole_cover_count, sole_covered_pairs, utilities_from_edges
-from hidenet.moves import (
-    bundles_can_pay,
-    closure,
-    drop_score,
-    improving_pure_deletion,
-    make_move,
-    player_incident_edges,
+from hidenet.model import sole_covered_pairs, utilities_from_edges
+from hidenet.moves import closure, make_move, player_incident_edges
+from hidenet.stability import (
+    _drop_gains,
+    _missing_pairs,
+    _set_addition_gain,
+    _set_deletion,
+    improving_set_addition,
     pure_deletion,
 )
-from hidenet.stability import _missing_pairs, _set_addition_gain, improving_set_addition
 
 from conftest import complete_edges
 
@@ -73,6 +72,11 @@ def _enumerated_set_addition(net, game, i):
     return best
 
 
+def _sole_pairs_at(net, j, i):
+    """Added non-player pairs at j that die if player i drops edge (i, j)."""
+    return sum(j in e for e in sole_covered_pairs(net, i))
+
+
 def _state_with_sole_covers(rng):
     n, m = rng.randint(2, 4), rng.randint(2, 5)
     edges = {e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4}
@@ -94,12 +98,12 @@ def test_pure_deletion_search_matches_subset_enumeration():
     for _ in range(500):
         net, game = _state_with_sole_covers(rng)
         for i in net.players:
-            if not bundles_can_pay(net, i):
+            if not sole_covered_pairs(net, i):
                 continue
             searched += 1
             want = _enumerated_pure_deletion(net, game, i)
-            assert improving_pure_deletion(net, game, i) == want
-            singles_fail = all(drop_score(net, game, i, j) <= 0 for j in net.neighbours(i))
+            assert _set_deletion(net, game, i) == (None if want is None else ((i,), want))
+            singles_fail = all(gain <= 0 for gain in _drop_gains(net, game, i, net.neighbours(i)))
             if want is not None and singles_fail:
                 bundle_only += 1
     # the bundles that no single-drop threshold sees are really exercised
@@ -111,9 +115,10 @@ def test_players_without_sole_covers_have_additive_drops():
     for _ in range(300):
         net, game = _state_with_sole_covers(rng)
         for i in net.players:
-            if bundles_can_pay(net, i):
+            if sole_covered_pairs(net, i):
                 continue
-            singles_fail = all(drop_score(net, game, i, j) <= 0 for j in net.neighbours(i))
+            assert _set_deletion(net, game, i) is None
+            singles_fail = all(gain <= 0 for gain in _drop_gains(net, game, i, net.neighbours(i)))
             assert (_enumerated_pure_deletion(net, game, i) is None) == singles_fail
 
 
@@ -273,7 +278,7 @@ def test_growth_entry_check_is_exact_on_pure_deletions():
     for _ in range(150):
         net, game = _state_with_sole_covers(rng)
         tied = GameSpec([
-            min((net.degree(j) + sole_cover_count(net, j, i) for j in net.neighbours(i)),
+            min((net.degree(j) + _sole_pairs_at(net, j, i) for j in net.neighbours(i)),
                 default=0)
             for i in net.players
         ])
@@ -287,7 +292,9 @@ def test_growth_entry_check_is_exact_on_pure_deletions():
                 raised += 1
                 assert offenders and "profitable deletion" in str(exc)
                 bundle_only += all(
-                    drop_score(net, g, i, j) <= 0 for i in net.players for j in net.neighbours(i)
+                    gain <= 0
+                    for i in net.players
+                    for gain in _drop_gains(net, g, i, net.neighbours(i))
                 )
             else:
                 kept += 1

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hidenet import GameSpec, ValidationError, build_network, degrees, utility
-from hidenet.model import sole_cover_count, utilities_from_edges
+from hidenet.model import sole_covered_pairs, utilities_from_edges
 
 from conftest import complete_edges
 from strategic import (
@@ -122,9 +122,9 @@ def test_sole_cover_depends_on_coverage_not_attribution():
     # both players cover (3, 4): nobody holds it alone
     net = build_network(2, 2, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     assert effective_degree(net, 3, 1) == 1  # canonical attribution
-    assert sole_cover_count(net, 3, 1) == 0
+    assert sole_covered_pairs(net, 1) == []
     solo = build_network(2, 2, [(1, 3), (1, 4), (3, 4)])
-    assert sole_cover_count(solo, 3, 1) == 1
+    assert sole_covered_pairs(solo, 1) == [(3, 4)]
 
 
 def test_minimal_profile_example1(example1):
@@ -201,7 +201,7 @@ def test_a_validated_state_sorts_its_adjacency_once(monkeypatch):
     edges = complete_edges(12)
     net = build_network(8, 4, edges)
     assert net.neighbours(9) == tuple(v for v in range(1, 13) if v != 9)
-    assert sole_cover_count(net, 9, 1) == 0
+    assert sole_covered_pairs(net, 1) == []
     assert len(calls) == 1
     # the seeded index is the one the state computes for itself
     fresh = net.with_edges_unchecked(net.edges)
@@ -209,7 +209,7 @@ def test_a_validated_state_sorts_its_adjacency_once(monkeypatch):
     # player 2 covers (3, 4) too, so player 1 alone holds (3, 5) and (4, 5)
     shared = build_network(2, 3, [(1, 3), (1, 4), (1, 5), (3, 4), (3, 5), (4, 5), (2, 3), (2, 4)])
     assert shared._index == shared.with_edges_unchecked(shared.edges)._index
-    assert [sole_cover_count(shared, j, 1) for j in (3, 4, 5)] == [1, 1, 2]
+    assert sole_covered_pairs(shared, 1) == [(3, 5), (4, 5)]
 
 
 REMOVED = (

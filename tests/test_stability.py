@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -236,3 +237,30 @@ def test_integer_coalition_scores_match_fraction_utilities():
                     base, after = utility(net, game), utility(replay(net, move), game)
                     assert move.deltas == {i: after.of(i) - base.of(i) for i in coalition}
     assert moved and moved < checked
+
+
+def _reachable_functions(roots):
+    """Every Python function the roots reach by calling global names: the
+    names in their code objects, nested code included, resolved through
+    each function's ``__globals__``."""
+    seen, todo = set(), list(roots)
+    while todo:
+        f = todo.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        codes = [f.__code__]
+        for code in codes:
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            for name in code.co_names:
+                value = f.__globals__.get(name)
+                if isinstance(value, types.FunctionType):
+                    todo.append(value)
+    return seen
+
+
+def test_the_fast_route_shares_no_code_with_the_coalition_route():
+    # cross-validation means something only while the routes are independent
+    reached = _reachable_functions(CONDITIONS.values())
+    assert {"_drop_gains", "_link_gain", "sole_covered_pairs"} <= {f.__name__ for f in reached}
+    assert sorted(f.__name__ for f in reached if f.__module__ == "hidenet.moves") == []
