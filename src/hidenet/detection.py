@@ -80,7 +80,7 @@ def detect_infiltration(
     """
     beta = Fraction(beta)
     if not 2 < beta < 3:
-        raise ValidationError(f"beta must lie strictly between 2 and 3, got {beta}")
+        raise ValidationError("beta must lie strictly between 2 and 3")
     if slack < 0:
         raise ValidationError("slack must be non-negative")
     if num_nodes < 1:

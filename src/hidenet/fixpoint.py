@@ -51,7 +51,7 @@ def _tick(counter: Optional[OpCounter], amount: int = 1) -> None:
 
 def _sweep(net: Network, game: GameSpec, names, counter) -> Network:
     """Apply the moves of the named conditions, player by player, until a
-    whole sweep changes nothing.  Intermediate states are not validated."""
+    whole sweep changes nothing."""
     current = net
     changed = True
     while changed:
@@ -64,7 +64,7 @@ def _sweep(net: Network, game: GameSpec, names, counter) -> Network:
                     found = finder(current, game, i)
                     if found is None:
                         break
-                    current, changed = current.with_edges_unchecked(found[1]), True
+                    current, changed = current.with_edges(found[1]), True
     return current
 
 
@@ -96,8 +96,7 @@ def min_including_pans(
     addition moves: the smallest one under the condition in the module
     docstring."""
     require_no_profitable_deletion(net, game)
-    current = _sweep(net, game, ADDITIONS, counter)
-    return net if current is net else net.with_edges(current.edges)
+    return _sweep(net, game, ADDITIONS, counter)
 
 
 def max_included_pans(
@@ -110,16 +109,14 @@ def max_included_pans(
 
     The moves are ``is_pane``'s deletion witnesses; its docstring gives
     why the bundle search runs only for players who alone cover an added
-    non-player pair.  Gains are integer scores of the mover alone; only the
-    result is validated.
+    non-player pair.  Gains are integer scores of the mover alone.
 
     ``check_entry=False`` skips the entry condition, for a start state that
     is the intersection of two stable graphs (see ``lattice.meet_pans``).
     """
     if check_entry:
         require_no_profitable_addition(net, game)
-    current = _sweep(net, game, DELETIONS, counter)
-    return net if current is net else net.with_edges(current.edges)
+    return _sweep(net, game, DELETIONS, counter)
 
 
 def min_including_k_pans(
@@ -148,5 +145,5 @@ def min_including_k_pans(
 
     current = net
     while (found := first_coalition_move(current, game, k, additions)) is not None:
-        current = current.with_edges_unchecked(found[1])
-    return net if current is net else net.with_edges(current.edges)
+        current = current.with_edges(found[1])
+    return current

@@ -65,11 +65,14 @@ def meet_pans(game: GameSpec, net_s: Network, net_t: Network) -> Network:
 def _meet(game: GameSpec, net_s: Network, net_t: Network) -> Network:
     """``meet_pans`` on operands already known to be stable."""
     # a pair added in both operands can lose every covering player here
-    common = net_s.with_edges_unchecked(net_s.edges & net_t.edges)
-    added = common.added_nonplayer_edges()
-    uncovered = {e for e in added if not common.common_player_neighbours(*e)}
+    common = net_s.edges & net_t.edges
+    uncovered = {
+        (j, l) for j, l in common - net_s.original_edges
+        if j > net_s.num_players
+        and not any((i, j) in common and (i, l) in common for i in net_s.players)
+    }
     # both operands are stable, so the shrink needs no entry check
-    return max_included_pans(net_s.with_edges(common.edges - uncovered), game, check_entry=False)
+    return max_included_pans(net_s.with_edges(common - uncovered), game, check_entry=False)
 
 
 def bound_failures(game: GameSpec, nets: list[Network]) -> list[str]:

@@ -94,7 +94,7 @@ class GameSpec:
             raise ValidationError("a game needs at least two players")
         for i, a in enumerate(self.alphas, start=1):
             if a < 0:
-                raise ValidationError(f"negative alpha for player {i}: {a}")
+                raise ValidationError(f"negative alpha for player {i}")
 
     @property
     def num_players(self) -> int:
@@ -115,19 +115,26 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class Network:
-    """An immutable graph state of the hiders' game.
+    """An immutable, validated graph state of the hiders' game.
 
-    ``edges`` always contains ``original_edges``.  Every added edge between
-    two non-players carries a sustainer: a player adjacent to both ends,
-    named in game and graph files.  Sustainers are input/output metadata
-    only: utilities, stability verdicts and every move ignore them.
+    Every state comes from :func:`build_network` (``with_edges`` included),
+    which validates it and computes its index once.  ``edges`` always
+    contains ``original_edges``.  Every added edge between two non-players
+    carries a sustainer: a player adjacent to both ends, named in game and
+    graph files.  Sustainers are input/output metadata only: utilities,
+    stability verdicts and every move ignore them.  ``index`` holds the
+    sorted neighbour tuples by node (slot 0 empty) and the added
+    non-player pairs keyed by their only covering player.
     """
 
     num_players: int
     num_nonplayers: int
     original_edges: frozenset[Edge]
     edges: frozenset[Edge]
-    sustainers: Mapping[Edge, int] = field(default_factory=dict)
+    sustainers: Mapping[Edge, int]
+    index: tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]]] = field(
+        repr=False, compare=False
+    )
 
     @property
     def num_nodes(self) -> int:
@@ -148,20 +155,11 @@ class Network:
     def is_player(self, v: int) -> bool:
         return 1 <= v <= self.num_players
 
-    @cached_property
-    def _index(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]]]:
-        """Sorted neighbour tuples indexed by node (slot 0 empty), and the
-        added non-player pairs keyed by their only covering player.
-        ``build_network`` seeds it."""
-        return _index_of(
-            *_covers(self.num_players, self.num_nodes, self.original_edges, self.edges)
-        )
-
     def neighbours(self, v: int) -> tuple[int, ...]:
         """v's neighbours, ascending (players first)."""
         if v > 0:  # a negative index would wrap silently
             try:
-                return self._index[0][v]
+                return self.index[0][v]
             except IndexError:
                 pass
         raise ValidationError(f"unknown node {v}")
@@ -188,12 +186,6 @@ class Network:
     def common_player_neighbours(self, j: int, l: int) -> tuple[int, ...]:
         """Players adjacent to both j and l, ascending."""
         return tuple(_common_players(self.neighbours(j), self.neighbours(l), self.num_players))
-
-    def with_edges_unchecked(self, edges: Iterable[Edge]) -> "Network":
-        """An unvalidated copy with another edge set and no sustainers, for
-        a fixpoint's intermediate states (each added pair stays covered)."""
-        n, m = self.num_players, self.num_nonplayers
-        return Network(n, m, self.original_edges, frozenset(edges))
 
     def with_edges(self, edges: Iterable[Sequence[int]]) -> "Network":
         """A validated copy of this network with a different edge set."""
@@ -227,17 +219,6 @@ def _covers(
     nbrs = _sorted_adjacency(edges, num_nodes)
     added = sorted(e for e in edges - original_edges if e[0] > num_players)
     return nbrs, {(j, l): _common_players(nbrs[j], nbrs[l], num_players) for j, l in added}
-
-
-def _index_of(
-    nbrs: tuple[tuple[int, ...], ...], covers: Mapping[Edge, list[int]]
-) -> tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]]]:
-    """``Network._index`` from the output of :func:`_covers`."""
-    sole: dict[int, list[Edge]] = {}
-    for e, cover in covers.items():
-        if len(cover) == 1:
-            sole.setdefault(cover[0], []).append(e)
-    return nbrs, sole
 
 
 def _assign_sustainers(
@@ -288,9 +269,11 @@ def build_network(
     _require_nodes(es, n + m, "edge")
     es |= e0
     nbrs, covers = _covers(n, n + m, e0, es)
-    net = Network(n, m, e0, es, _assign_sustainers(covers, sustainers))
-    net.__dict__["_index"] = _index_of(nbrs, covers)  # what the cached property would compute
-    return net
+    sole: dict[int, list[Edge]] = {}
+    for e, cover in covers.items():
+        if len(cover) == 1:
+            sole.setdefault(cover[0], []).append(e)
+    return Network(n, m, e0, es, _assign_sustainers(covers, sustainers), (nbrs, sole))
 
 
 def degrees(net: Network, node: int) -> tuple[int, int]:
@@ -362,7 +345,7 @@ def utility(net: Network, game: GameSpec) -> UtilityVector:
 def adjacency(net: Network) -> tuple[tuple[int, ...], ...]:
     """Every node's neighbours, ascending, indexed by node (slot 0 empty):
     for scans that score many nodes of one state."""
-    return net._index[0]
+    return net.index[0]
 
 
 def sole_covered_pairs(net: Network, i: int) -> list[Edge]:
@@ -370,4 +353,4 @@ def sole_covered_pairs(net: Network, i: int) -> list[Edge]:
     pairs that die if she drops an edge to either end.  An added non-player
     pair needs some player adjacent to both endpoints, and outlives i's
     withdrawal exactly when another player covers it."""
-    return net._index[1].get(i, [])
+    return net.index[1].get(i, [])

@@ -15,8 +15,9 @@ transition subject to consent rules:
 
 Interconnect actions cost nothing and raise neighbour degrees, so keeping
 or adding every feasible one weakly improves every member.  Improving-move
-search therefore only visits interconnect-maximal moves; pure-deletion
-search uses the survive-only closure.
+search therefore only visits interconnect-maximal moves (:func:`closure`);
+the fast route builds a player's pure deletions with
+``stability.pure_deletion``.
 
 :func:`first_coalition_move` is the one coalition loop: the coalition
 search runs it over every adjacency choice, the k-strong growth over the
@@ -62,14 +63,13 @@ def closure(
     net: Network,
     coalition: Sequence[int],
     adjacency: frozenset[Edge],
-    allow_new: bool,
 ) -> frozenset[Edge]:
     """Full post-move edge set implied by the players' adjacency choices.
 
     ``adjacency`` holds every player-incident edge after the move.  The
     non-player pairs are then forced: E0 persists, an existing added pair
-    survives iff some player still covers it, and (when ``allow_new``) any
-    pair covered by a coalition member is interconnected.
+    survives iff some player still covers it, and any pair covered by a
+    coalition member is interconnected.
     """
     n = net.num_players
     adj: dict[int, set[int]] = {i: set() for i in net.players}
@@ -87,7 +87,7 @@ def closure(
         if (j, l) in net.edges:
             if covers:
                 out.add((j, l))
-        elif allow_new and any(i in members for i in covers):
+        elif any(i in members for i in covers):
             out.add((j, l))
     return frozenset(out)
 
@@ -189,7 +189,7 @@ def first_coalition_move(
         for coalition in itertools.combinations(net.players, size):
             base = [scores[i - 1] for i in coalition]
             for adjacency in choices(net, coalition):
-                new_edges = closure(net, coalition, adjacency, allow_new=True)
+                new_edges = closure(net, coalition, adjacency)
                 if new_edges == net.edges:
                     continue
                 after = scaled_utilities(new_edges, net.num_nodes, game.ratios, coalition)

@@ -68,7 +68,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _require_int64(bound: int, what: str) -> None:
     if bound > _INT64_MAX:
         raise ValidationError(
-            f"{what} is {bound}, beyond the oracle's int64 tables (at most 2^63 - 1)"
+            f"{what} is about 2^{bound.bit_length()}, beyond the oracle's int64 tables "
+            "(at most 2^63 - 1)"
         )
 
 
@@ -116,7 +117,7 @@ class FeasibleGraphSet:
         for i, a in enumerate(game.alphas, start=1):
             _require_int64(
                 a.denominator * nodes**2 + a.numerator * nodes,
-                f"the scaled utility bound of player {i} (alpha {a})",
+                f"the scaled utility bound of player {i}",
             )
         self.game = game
         self.n, self.m = n, m

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 from .analytics import ClosedFormResult, EfficiencyReport
 from .detection import DetectionReport
+from .errors import ValidationError
 from .lattice import LatticeSummary
 from .model import Network, UtilityVector
 from .moves import DeviationMove
@@ -31,7 +32,13 @@ def rational_str(value) -> str:
             return "inf"
         raise ValueError(f"refusing to serialise inexact float {value}")
     frac = Fraction(value)
-    return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+    try:
+        return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+    except ValueError:  # past the interpreter's limit on int-to-str digits
+        size = max(abs(frac.numerator), frac.denominator).bit_length()
+        raise ValidationError(
+            f"a rational with a {size}-bit numerator or denominator is too long to print"
+        ) from None
 
 
 def network_dict(net: Network) -> dict:
@@ -150,10 +157,10 @@ def to_text(payload: dict, indent: int = 0) -> str:
     lines = []
     pad = "  " * indent
     for key, value in payload.items():
-        if isinstance(value, dict):
+        if isinstance(value, dict) and value:
             lines.append(f"{pad}{key}:")
             lines.append(to_text(value, indent + 1).rstrip("\n"))
-        elif isinstance(value, list):
+        elif isinstance(value, (dict, list)):
             lines.append(f"{pad}{key}: {json.dumps(value)}")
         else:
             lines.append(f"{pad}{key}: {value}")

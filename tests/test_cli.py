@@ -189,12 +189,50 @@ def test_out_flag_writes_file(tmp_path):
     assert json.loads(target.read_text())["network"]["edges"] == []
 
 
+def _text_lines(payload, depth=0):
+    """The lines ``--format text`` should print for a JSON payload: a
+    non-empty object nests, every other value sits on its key's line."""
+    for key, value in payload.items():
+        pad = "  " * depth
+        if isinstance(value, dict) and value:
+            yield f"{pad}{key}:"
+            yield from _text_lines(value, depth + 1)
+        elif isinstance(value, (dict, list)):
+            yield f"{pad}{key}: {json.dumps(value)}"
+        else:
+            yield f"{pad}{key}: {'None' if value is None else value}"
+
+
 def test_text_format_carries_same_information():
-    code_j, out_j = run("bound", "--game", fx("ex5.game"))
-    code_t, out_t = run("bound", "--game", fx("ex5.game"), "--format", "text")
-    assert code_j == code_t == 0
-    assert json.loads(out_j)["additive_bound"] == "1"
-    assert "additive_bound: 1" in out_t
+    for argv in (
+        ["bound", "--game", fx("ex5.game")],
+        # nests an empty object (D_boundary_counts) beside non-empty ones
+        ["characterize", "--game", fx("fig2.game")],
+        # unstable, with a witness move and its per-player deltas
+        ["verify", "--game", fx("ex1.game")],
+    ):
+        code_j, out_j = run(*argv)
+        code_t, out_t = run(*argv, "--format", "text")
+        assert code_j == code_t == 0
+        lines = out_t.splitlines()
+        assert "" not in lines
+        assert lines == list(_text_lines(json.loads(out_j)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--game", fx("huge_alpha.game")]
+        for command in ("verify", "efficiency", "enumerate", "oracle-check")
+    ]
+    + [["detect", "--graph", fx("observed.graph"), "--beta", "1e5000"]],
+    ids=["verify", "efficiency", "enumerate", "oracle-check", "detect"],
+)
+def test_a_value_too_long_to_print_exits_2(argv):
+    # 1e5000 parses, but str() refuses its 5,001 digits
+    code, out = run(*argv)
+    assert code == 2
+    assert out.startswith("error:") and len(out) < 200
 
 
 def test_reports_are_byte_identical_across_runs():

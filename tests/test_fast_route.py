@@ -26,7 +26,7 @@ from hidenet import (
 )
 from hidenet.fixpoint import require_no_profitable_deletion
 from hidenet.model import sole_covered_pairs, utilities_from_edges
-from hidenet.moves import closure, make_move, player_incident_edges
+from hidenet.moves import make_move, player_incident_edges
 from hidenet.stability import (
     _drop_gains,
     _missing_pairs,
@@ -37,6 +37,19 @@ from hidenet.stability import (
 )
 
 from conftest import complete_edges
+
+
+def _survive_only_closure(net, adjacency):
+    """The edge set after a move that interconnects nothing new: E0 persists
+    and an added non-player pair survives iff some player still covers it
+    under the player-incident edges ``adjacency``."""
+    out = set(adjacency) | set(net.original_edges)
+    for j, l in itertools.combinations(net.nonplayers, 2):
+        if (j, l) in net.edges and any(
+            (i, j) in adjacency and (i, l) in adjacency for i in net.players
+        ):
+            out.add((j, l))
+    return frozenset(out)
 
 
 def _enumerated_pure_deletion(net, game, i):
@@ -51,7 +64,7 @@ def _enumerated_pure_deletion(net, game, i):
     best = None
     for r in range(1, len(incident) + 1):
         for drop in itertools.combinations(incident, r):
-            new_edges = closure(net, [i], adjacency - set(drop), allow_new=False)
+            new_edges = _survive_only_closure(net, adjacency - set(drop))
             assert new_edges == pure_deletion(net, i, {a + b - i for a, b in drop})
             gain = u(new_edges) - base
             if gain > 0 and (best is None or (-gain, r, drop) < best[0]):

@@ -11,9 +11,13 @@ from hidenet import (
     ValidationError,
     build_network,
     enumerate_feasible_graphs,
+    greatest_pans,
     is_k_strong,
     is_pane,
+    join_pans,
+    least_pans,
     max_included_pans,
+    meet_pans,
     min_including_k_pans,
     min_including_pans,
 )
@@ -158,3 +162,39 @@ def test_entry_checks_name_the_condition_and_the_player(fig2_game):
     addition = r"player 2 with player 4 has a profitable addition \(missing-player-pair\)"
     with pytest.raises(PreconditionError, match=addition):
         max_included_pans(tri_plus, fig2_game)
+
+
+def test_every_state_the_fixpoints_step_through_is_validated(monkeypatch):
+    # the condition finders and the coalition loop see every state a
+    # fixpoint steps through: each must carry one sustainer, a covering
+    # player, per added non-player pair, as build_network assigns them
+    from hidenet import fixpoint, stability
+
+    seen = []
+
+    def check(net):
+        added = net.added_nonplayer_edges()
+        assert set(net.sustainers) == added
+        assert all(net.sustainers[e] in net.common_player_neighbours(*e) for e in added)
+        seen.append(len(added))
+
+    for name, finder in list(stability.CONDITIONS.items()):
+        monkeypatch.setitem(
+            stability.CONDITIONS, name,
+            lambda net, game, i, finder=finder: check(net) or finder(net, game, i),
+        )
+    loop = fixpoint.first_coalition_move
+    monkeypatch.setattr(fixpoint, "first_coalition_move", lambda net, *a: check(net) or loop(net, *a))
+    rng = random.Random(0x5A7E)
+    for _ in range(30):
+        game, m, e0 = random_instance(rng)
+        least_pans(game, m, e0)
+        greatest_pans(game, m, e0)
+        min_including_k_pans(build_network(game.num_players, m, (), e0), game, 2)
+        fgs = enumerate_feasible_graphs(game, m, e0)
+        nets = [fgs.network(t) for t in fgs.pans_masks(1)]
+        pairs = list(itertools.combinations(nets, 2))
+        for a, b in rng.sample(pairs, min(len(pairs), 6)):
+            join_pans(game, a, b)
+            meet_pans(game, a, b)
+    assert sum(count > 0 for count in seen) > 100

@@ -128,8 +128,9 @@ def test_meet_is_the_glb_on_seeded_instances():
         for a, b in itertools.combinations(nets, 2):
             glb = max((s for s in sets if s <= a.edges & b.edges), key=len)
             assert meet_pans(game, a, b).edges == glb
-            common = a.with_edges_unchecked(a.edges & b.edges)
+            common = a.edges & b.edges
             uncovered += any(
-                not common.common_player_neighbours(*e) for e in common.added_nonplayer_edges()
+                not any((i, j) in common and (i, l) in common for i in a.players)
+                for j, l in common - a.original_edges if j > a.num_players
             )
     assert uncovered > 0

@@ -203,13 +203,11 @@ def test_a_validated_state_sorts_its_adjacency_once(monkeypatch):
     assert net.neighbours(9) == tuple(v for v in range(1, 13) if v != 9)
     assert sole_covered_pairs(net, 1) == []
     assert len(calls) == 1
-    # the seeded index is the one the state computes for itself
-    fresh = net.with_edges_unchecked(net.edges)
-    assert fresh._index == net._index and len(calls) == 2
     # player 2 covers (3, 4) too, so player 1 alone holds (3, 5) and (4, 5)
     shared = build_network(2, 3, [(1, 3), (1, 4), (1, 5), (3, 4), (3, 5), (4, 5), (2, 3), (2, 4)])
-    assert shared._index == shared.with_edges_unchecked(shared.edges)._index
     assert sole_covered_pairs(shared, 1) == [(3, 5), (4, 5)]
+    assert sole_covered_pairs(shared.with_edges(shared.edges), 1) == [(3, 5), (4, 5)]
+    assert len(calls) == 3  # one sort per build: net, shared and its copy
 
 
 REMOVED = (

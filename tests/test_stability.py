@@ -199,7 +199,7 @@ def _fraction_first_move(net, game, k, choices):
     for size in range(1, min(k, net.num_players) + 1):
         for coalition in itertools.combinations(net.players, size):
             for adjacency in choices(net, coalition):
-                new_edges = closure(net, coalition, adjacency, allow_new=True)
+                new_edges = closure(net, coalition, adjacency)
                 if new_edges == net.edges:
                     continue
                 after = utilities(new_edges)
