@@ -12,7 +12,6 @@ from .model import (
     Network,
     UtilityVector,
     build_network,
-    degrees,
     utility,
 )
 from .moves import DeviationMove

@@ -26,6 +26,7 @@ from .model import (
     build_network,
     clique_edges,
     edge,
+    require_alpha_count,
     require_strength,
     utility,
 )
@@ -165,6 +166,7 @@ def check_equal_alpha(net: Network, game: GameSpec) -> tuple[bool, EqualAlphaStr
     they are decided by the full structural verifier instead (still a
     single-graph test, no enumeration).
     """
+    require_alpha_count(net, game)
     alpha = _equal_alpha(game)
     n, m = net.num_players, net.num_nonplayers
     D = frozenset(j for j in net.nonplayers if net.player_degree(j) > 0)
@@ -297,6 +299,7 @@ def check_one_distinct(net: Network, game: GameSpec, k: int = 1) -> bool:
     or more remove that freedom: at the threshold only the complete graph
     stays stable.
     """
+    require_alpha_count(net, game)
     require_strength(k, game.num_players)
     for i in range(2, game.num_players + 1):
         if game.alpha(i) >= 1:

@@ -43,6 +43,8 @@ def _integer_root(n: int, d: int) -> int:
     """floor(n^(1/d)) for n >= 1, in integers only (Newton's step from above)."""
     if d == 2:
         return math.isqrt(n)
+    if d >= n.bit_length():  # n < 2^d
+        return 1
     x = 1 << -(-n.bit_length() // d)  # 2^ceil(bits/d) > n^(1/d)
     while True:
         y = ((d - 1) * x + n // x ** (d - 1)) // d

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import PreconditionError
-from .model import Edge, GameSpec, Network, require_strength
+from .model import Edge, GameSpec, Network, require_alpha_count, require_strength
 from .moves import coalition_additions, first_coalition_move
 from .stability import ADDITIONS, CONDITIONS, DELETIONS, first_violation
 
@@ -52,6 +52,7 @@ def _tick(counter: Optional[OpCounter], amount: int = 1) -> None:
 def _sweep(net: Network, game: GameSpec, names, counter) -> Network:
     """Apply the moves of the named conditions, player by player, until a
     whole sweep changes nothing."""
+    require_alpha_count(net, game)
     current = net
     changed = True
     while changed:

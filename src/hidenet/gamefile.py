@@ -163,7 +163,10 @@ def parse_plain_graph(text: str) -> tuple[int, list[Edge]]:
 def serialize_game(net: Network, game: GameSpec) -> str:
     lines = ["[players]"]
     for i in net.players:
-        lines.append(f"{i} {game.alpha(i)}")
+        try:
+            lines.append(f"{i} {game.alpha(i)}")
+        except ValueError:  # past the interpreter's limit on int-to-str digits
+            raise ValidationError(f"alpha of player {i} is too long to print") from None
     lines.append("[nonplayers]")
     if net.num_nonplayers:
         lines.append(" ".join(str(v) for v in net.nonplayers))

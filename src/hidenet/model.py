@@ -46,9 +46,9 @@ def clique_edges(nodes: Iterable[int]) -> frozenset[Edge]:
 
 
 def _require_nodes(pairs: frozenset[Edge], num_nodes: int, what: str) -> None:
-    for a, b in sorted(pairs):
-        if not (1 <= a and b <= num_nodes):
-            raise ValidationError(f"{what} ({a}, {b}) references unknown nodes (|V| = {num_nodes})")
+    bad = [e for e in pairs if e[0] < 1 or e[1] > num_nodes]
+    if bad:
+        raise ValidationError(f"{what} {min(bad)} references unknown nodes (|V| = {num_nodes})")
 
 
 def original_edge_set(
@@ -58,9 +58,9 @@ def original_edge_set(
     pair must name nodes of the instance, and then join two non-players."""
     e0 = edge_set(pairs)
     _require_nodes(e0, num_players + num_nonplayers, "original edge")
-    for a, b in sorted(e0):
-        if a <= num_players:
-            raise ValidationError(f"original edge ({a}, {b}) touches a player")
+    touching = [e for e in e0 if e[0] <= num_players]
+    if touching:
+        raise ValidationError(f"original edge {min(touching)} touches a player")
     return e0
 
 
@@ -122,9 +122,11 @@ class Network:
     contains ``original_edges``.  Every added edge between two non-players
     carries a sustainer: a player adjacent to both ends, named in game and
     graph files.  Sustainers are input/output metadata only: utilities,
-    stability verdicts and every move ignore them.  ``index`` holds the
-    sorted neighbour tuples by node (slot 0 empty) and the added
-    non-player pairs keyed by their only covering player.
+    stability verdicts and every move ignore them.  Two index fields are
+    filled by the builder and left out of equality: ``adjacency``, the
+    sorted neighbour tuples by node (slot 0 empty), and ``sole_pairs``, the
+    added non-player pairs keyed by their only covering player (read it
+    through :func:`sole_covered_pairs`).
     """
 
     num_players: int
@@ -132,9 +134,8 @@ class Network:
     original_edges: frozenset[Edge]
     edges: frozenset[Edge]
     sustainers: Mapping[Edge, int]
-    index: tuple[tuple[tuple[int, ...], ...], dict[int, list[Edge]]] = field(
-        repr=False, compare=False
-    )
+    adjacency: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    sole_pairs: dict[int, list[Edge]] = field(repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -159,7 +160,7 @@ class Network:
         """v's neighbours, ascending (players first)."""
         if v > 0:  # a negative index would wrap silently
             try:
-                return self.index[0][v]
+                return self.adjacency[v]
             except IndexError:
                 pass
         raise ValidationError(f"unknown node {v}")
@@ -211,46 +212,6 @@ def _common_players(a: tuple[int, ...], b: tuple[int, ...], num_players: int) ->
     return [i for i in a[: bisect_right(a, num_players)] if i in b]
 
 
-def _covers(
-    num_players: int, num_nodes: int, original_edges: frozenset[Edge], edges: frozenset[Edge]
-) -> tuple[tuple[tuple[int, ...], ...], dict[Edge, list[int]]]:
-    """A state's sorted adjacency, and the covering players (ascending) of
-    each added non-player pair, in pair order."""
-    nbrs = _sorted_adjacency(edges, num_nodes)
-    added = sorted(e for e in edges - original_edges if e[0] > num_players)
-    return nbrs, {(j, l): _common_players(nbrs[j], nbrs[l], num_players) for j, l in added}
-
-
-def _assign_sustainers(
-    covers: Mapping[Edge, list[int]], given: Optional[Mapping[Edge, int]]
-) -> dict[Edge, int]:
-    """Assign one sustainer to every added non-player edge.
-
-    Explicit assignments are kept when legal; anything missing gets the
-    lowest-indexed player adjacent to both endpoints.  An added non-player
-    edge with no player adjacent to both endpoints cannot exist in any
-    strategy profile and is rejected.
-    """
-    out: dict[Edge, int] = {}
-    given = dict(given or {})
-    for e, eligible in covers.items():
-        if not eligible:
-            raise ValidationError(f"unsustainable non-player edge {e}: no common player neighbour")
-        chosen = given.pop(e, None)
-        if chosen is not None:
-            if chosen not in eligible:
-                raise ValidationError(
-                    f"sustainer {chosen} of edge {e} is not a player adjacent to both endpoints"
-                )
-            out[e] = chosen
-        else:
-            out[e] = eligible[0]
-    if given:
-        bad = sorted(given)[0]
-        raise ValidationError(f"sustainer given for {bad}, which is not an added non-player edge")
-    return out
-
-
 def build_network(
     num_players: int,
     num_nonplayers: int,
@@ -258,7 +219,11 @@ def build_network(
     original_edges: Iterable[Sequence[int]] = (),
     sustainers: Optional[Mapping[Edge, int]] = None,
 ) -> Network:
-    """Construct and fully validate a :class:`Network`."""
+    """Construct and fully validate a :class:`Network`, in one pass over
+    the added non-player pairs.  A pair no player covers cannot exist in any
+    strategy profile and is rejected.  Its sustainer is the given one, which
+    must cover it, or else its lowest covering player; a pair with one
+    covering player is also one of her ``sole_pairs``."""
     if num_players < 2:
         raise ValidationError(f"need at least 2 players, got {num_players}")
     if num_nonplayers < 0:
@@ -268,17 +233,27 @@ def build_network(
     es = edge_set(edges)
     _require_nodes(es, n + m, "edge")
     es |= e0
-    nbrs, covers = _covers(n, n + m, e0, es)
+    nbrs = _sorted_adjacency(es, n + m)
+    given = dict(sustainers or {})
+    chosen: dict[Edge, int] = {}
     sole: dict[int, list[Edge]] = {}
-    for e, cover in covers.items():
+    for e in sorted(p for p in es - e0 if p[0] > n):
+        cover = _common_players(nbrs[e[0]], nbrs[e[1]], n)
+        if not cover:
+            raise ValidationError(f"unsustainable non-player edge {e}: no common player neighbour")
+        k = given.pop(e, cover[0])
+        if k not in cover:
+            raise ValidationError(
+                f"sustainer {k} of edge {e} is not a player adjacent to both endpoints"
+            )
+        chosen[e] = k
         if len(cover) == 1:
-            sole.setdefault(cover[0], []).append(e)
-    return Network(n, m, e0, es, _assign_sustainers(covers, sustainers), (nbrs, sole))
-
-
-def degrees(net: Network, node: int) -> tuple[int, int]:
-    """(degree, player degree) of a node."""
-    return net.degree(node), net.player_degree(node)
+            sole.setdefault(k, []).append(e)
+    if given:
+        raise ValidationError(
+            f"sustainer given for {min(given)}, which is not an added non-player edge"
+        )
+    return Network(n, m, e0, es, chosen, nbrs, sole)
 
 
 @dataclass(frozen=True)
@@ -342,15 +317,9 @@ def utility(net: Network, game: GameSpec) -> UtilityVector:
     return utilities_from_edges(net.num_players, net.num_nodes, net.edges, game.alphas)
 
 
-def adjacency(net: Network) -> tuple[tuple[int, ...], ...]:
-    """Every node's neighbours, ascending, indexed by node (slot 0 empty):
-    for scans that score many nodes of one state."""
-    return net.index[0]
-
-
 def sole_covered_pairs(net: Network, i: int) -> list[Edge]:
     """Added non-player pairs whose only common player neighbour is i: the
     pairs that die if she drops an edge to either end.  An added non-player
     pair needs some player adjacent to both endpoints, and outlives i's
     withdrawal exactly when another player covers it."""
-    return net.index[1].get(i, [])
+    return net.sole_pairs.get(i, [])

@@ -29,7 +29,6 @@ from .model import (
     Edge,
     GameSpec,
     Network,
-    adjacency,
     edge,
     require_alpha_count,
     require_strength,
@@ -60,14 +59,14 @@ class StabilityVerdict:
 # -- exact single-player marginals -------------------------------------------
 #
 # Each marginal has one formula, and the scans read the state's index once
-# per call (``model.adjacency``, ``model.sole_covered_pairs``): the drop
+# per call (``net.adjacency``, ``model.sole_covered_pairs``): the drop
 # gains are a batch over nodes, the link gain a formula over plain integers.
 
 
 def _drop_gains(net: Network, game: GameSpec, i: int, nodes: Sequence[int]) -> list[int]:
     """q_i times i's gain from dropping her edge to each of ``nodes`` alone:
     alpha_i - deg(j), less the pairs at j that only i holds together."""
-    nbrs = adjacency(net)
+    nbrs = net.adjacency
     sole: dict[int, int] = {}
     for e in sole_covered_pairs(net, i):
         for j in e:
@@ -128,7 +127,7 @@ def _missing_pairs(net: Network, nodes) -> set[Edge]:
     """Pairs among ``nodes`` that are not joined."""
     if len(nodes) < 2:
         return set()
-    nbrs = adjacency(net)
+    nbrs = net.adjacency
     return {(j, l) for j, l in itertools.combinations(sorted(nodes), 2) if l not in nbrs[j]}
 
 
@@ -139,7 +138,7 @@ def _set_addition_gain(
     all her non-player neighbours afterwards, and the edges this adds: each
     target adds deg + 1 to S_i and one to deg(i), and each new pair adds 2."""
     p, q = game.ratio(i)
-    nbrs = adjacency(net)
+    nbrs = net.adjacency
     pairs = _missing_pairs(net, net.nonplayer_neighbours(i) + list(targets))
     score = sum(_link_gain(p, q, len(nbrs[t])) for t in targets) + 2 * q * len(pairs)
     return score, pairs | {edge(i, t) for t in targets}
@@ -159,7 +158,7 @@ def _drops_of(players: bool):
         pays.  A drop never lowers her other drop scores (a forfeited pair
         (j, l) takes one from deg(l) and one from l's sole covers at once),
         so all can go together; afterwards more of them may pay."""
-        own = adjacency(net)[i]
+        own = net.adjacency[i]
         split = bisect_right(own, net.num_players)
         scan = own[:split] if players else own[split:]
         if not scan:
@@ -198,7 +197,7 @@ def improving_set_addition(net: Network, game: GameSpec, i: int) -> Optional[Mov
     alphas (4, 0, 4), growth joins 1 to 6, yet the least stable graph
     containing that state covers 4-6 and 5-6 by player 2 and lacks 1-6.
     """
-    nbrs = adjacency(net)
+    nbrs = net.adjacency
     own = nbrs[i]
     held = set(own[bisect_right(own, net.num_players):])
     if len(held) == net.num_nonplayers:
@@ -235,7 +234,7 @@ def improving_set_addition(net: Network, game: GameSpec, i: int) -> Optional[Mov
 def _player_pair(net: Network, game: GameSpec, i: int) -> Optional[Move]:
     """i and the first player j > i whose missing edge to her blocks (both
     weakly gain, one strictly) add it."""
-    nbrs, ratios = adjacency(net), game.ratios
+    nbrs, ratios = net.adjacency, game.ratios
     own = nbrs[i]
     p, q = ratios[i - 1]
     for j in range(i + 1, net.num_players + 1):
@@ -268,7 +267,7 @@ def _set_deletion(net: Network, game: GameSpec, i: int) -> Optional[Move]:
     if not pairs:
         return None
     p, q = game.ratio(i)
-    nbrs = adjacency(net)
+    nbrs = net.adjacency
     loss = {j: q * len(nbrs[j]) - p for e in pairs for j in e}
     bundle = _smallest_min_cut_side(loss, pairs, q)
     cut = sum((a in bundle) != (b in bundle) for a, b in pairs)
@@ -296,6 +295,7 @@ def first_violation(
 ) -> Optional[tuple[str, tuple[int, ...], frozenset[Edge]]]:
     """First (condition, coalition, edge set after the move) over ``names``
     in the given order, each condition tried on every player in turn."""
+    require_alpha_count(net, game)
     for name in names:
         finder = CONDITIONS[name]
         for i in net.players:
@@ -337,7 +337,6 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
 
     The fixpoints apply exactly these witnesses.
     """
-    require_alpha_count(net, game)
     found = first_violation(net, game, CONDITIONS)
     if found is None:
         return StabilityVerdict(True, "PANE", 1)

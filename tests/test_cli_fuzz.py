@@ -70,7 +70,7 @@ def workdir(tmp_path_factory):
     plain=plain_texts(),
     k=st.integers(-1, 3),
     slack=st.integers(-1, 2),
-    beta=st.sampled_from(["5/2", "2", "2.9", "abc"]),
+    beta=st.sampled_from(["5/2", "2", "2.9", "abc", "2.50000000000000000001"]),
     fmt=st.sampled_from(["json", "text"]),
     out=st.sampled_from([None, "dir", "file"]),
 )

@@ -1,3 +1,8 @@
+import pathlib
+import resource
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +11,7 @@ from hidenet import GameSpec, ValidationError
 from hidenet.detection import (
     DEFAULT_BETA,
     _clique_prior,
+    _integer_root,
     detect_infiltration,
     detect_network,
     predict_equilibrium_shape,
@@ -112,3 +118,39 @@ def test_partition_covers_all_nodes():
     rep = detect_infiltration(7, complete_edges(4) + [(5, 6)], F(5, 2), 1)
     assert rep.clique | rep.isolated | rep.other == frozenset(range(1, 8))
     assert rep.suspected_players <= rep.isolated
+
+
+def _brute_root(n, d):
+    x = 1
+    while (x + 1) ** d <= n:
+        x += 1
+    return x
+
+
+def test_integer_root_is_the_floor_root():
+    for n in range(1, 300):
+        for d in range(1, 12):
+            assert _integer_root(n, d) == _brute_root(n, d), (n, d)
+        bits = n.bit_length()
+        for d in (bits, bits + 1, 2 * bits + 3):
+            assert _integer_root(n, d) == _brute_root(n, d) == 1, (n, d)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("beta", ["2.500000000001", "2.50000000000000000001"])
+def test_detect_with_a_long_decimal_beta_exits_0_within_a_second(beta):
+    # beta's denominator is the root's degree; the address-space limit keeps
+    # a root that grows with it from taking the machine's memory
+    src = pathlib.Path(__file__).parents[1] / "src"
+    graph = pathlib.Path(__file__).parent / "fixtures" / "observed.graph"
+    argv = [sys.executable, "-m", "hidenet.cli", "detect", "--graph", str(graph), "--beta", beta]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, timeout=10,
+        env={"PYTHONPATH": str(src)}, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 1.0

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hidenet import build_network
+from hidenet import GameSpec, build_network
 from hidenet.cli import run_command
 from hidenet.gamefile import (
     GameFileError,
@@ -133,3 +133,8 @@ def test_repeated_records_are_rejected_with_their_line(example1, tmp_path):
         parse_graph_file(graph, net)
     with pytest.raises(GameFileError, match=r"line 3: repeated \[nodes\] count"):
         parse_plain_graph("[nodes]\n6\n7\n[edges]\n1 2\n")
+
+
+def test_an_alpha_too_long_to_print_is_a_validation_error():
+    with pytest.raises(ValidationError, match="alpha of player 1 is too long to print"):
+        serialize_game(build_network(2, 0), GameSpec((F("1e5000"), 1)))

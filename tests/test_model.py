@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from hidenet import GameSpec, ValidationError, build_network, degrees, utility
-from hidenet.model import sole_covered_pairs, utilities_from_edges
+from hidenet import GameSpec, ValidationError, build_network, utility
+from hidenet.model import edge, sole_covered_pairs, utilities_from_edges
+from hidenet.oracle import enumerate_feasible_graphs
 
-from conftest import complete_edges
+from conftest import complete_edges, random_instance
 from strategic import (
     PlayerStrategy,
     StrategyProfile,
@@ -55,6 +57,29 @@ def test_float_alpha_rejected():
         GameSpec((1.5, 1.5))
 
 
+@pytest.mark.parametrize(
+    "n, m, edges, e0, sustainers, message",
+    [
+        (2, 1, [(1, 5), (1, 4)], [], None, "edge (1, 4) references unknown nodes (|V| = 3)"),
+        (2, 2, [], [(3, 6), (3, 5)], None,
+         "original edge (3, 5) references unknown nodes (|V| = 4)"),
+        (2, 2, [], [(2, 3), (1, 4)], None, "original edge (1, 4) touches a player"),
+        (2, 3, [(4, 5), (3, 4)], [], None,
+         "unsustainable non-player edge (3, 4): no common player neighbour"),
+        (2, 3, [(1, 3), (1, 4), (1, 5), (3, 4), (3, 5)], [], {(3, 5): 2, (3, 4): 2},
+         "sustainer 2 of edge (3, 4) is not a player adjacent to both endpoints"),
+        (2, 3, [(1, 3)], [(4, 5)], {(4, 5): 1, (1, 3): 1},
+         "sustainer given for (1, 3), which is not an added non-player edge"),
+    ],
+    ids=["edge-range", "original-range", "original-touches-player", "uncovered",
+         "illegal-sustainer", "sustainer-without-pair"],
+)
+def test_build_network_names_the_smallest_offending_pair(n, m, edges, e0, sustainers, message):
+    with pytest.raises(ValidationError) as exc:
+        build_network(n, m, edges, e0, sustainers)
+    assert str(exc.value) == message
+
+
 def test_wrong_sustainer_rejected():
     with pytest.raises(ValidationError, match="sustainer"):
         build_network(2, 2, [(1, 3), (1, 4), (3, 4)], sustainers={(3, 4): 2})
@@ -62,12 +87,12 @@ def test_wrong_sustainer_rejected():
 
 def test_degrees(example1):
     net, _ = example1
-    assert degrees(net, 3) == (2, 1)
-    assert degrees(net, 5) == (1, 1)
+    assert (net.degree(3), net.player_degree(3)) == (2, 1)
+    assert (net.degree(5), net.player_degree(5)) == (1, 1)
     k4 = build_network(4, 0, complete_edges(4))
-    assert all(degrees(k4, v) == (3, 3) for v in k4.nodes)
+    assert all((k4.degree(v), k4.player_degree(v)) == (3, 3) for v in k4.nodes)
     iso = build_network(2, 1, [(1, 2)])
-    assert degrees(iso, 3) == (0, 0)
+    assert (iso.degree(3), iso.player_degree(3)) == (0, 0)
     with pytest.raises(ValidationError):
         net.degree(9)
 
@@ -118,6 +143,27 @@ def test_effective_degree_ignores_original_edges():
     assert net.sustainers == {}
 
 
+def _assert_index_is_recomputed(net, given=None):
+    """The state's adjacency, sole pairs and sustainers equal a brute-force
+    recomputation from its edge set alone."""
+    nodes = range(1, net.num_nodes + 1)
+    assert net.adjacency == ((),) + tuple(
+        tuple(v for v in nodes if v != u and edge(u, v) in net.edges) for u in nodes
+    )
+    covers = {
+        (j, l): [i for i in net.players if edge(i, j) in net.edges and edge(i, l) in net.edges]
+        for j, l in sorted(net.edges - net.original_edges)
+        if j > net.num_players
+    }
+    sole = {}
+    for e, cover in covers.items():
+        if len(cover) == 1:
+            sole.setdefault(cover[0], []).append(e)
+    assert net.sole_pairs == sole
+    assert all(sole_covered_pairs(net, i) == sole.get(i, []) for i in net.players)
+    assert net.sustainers == {e: (given or {}).get(e, cover[0]) for e, cover in covers.items()}
+
+
 def test_sole_cover_depends_on_coverage_not_attribution():
     # both players cover (3, 4): nobody holds it alone
     net = build_network(2, 2, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
@@ -125,6 +171,28 @@ def test_sole_cover_depends_on_coverage_not_attribution():
     assert sole_covered_pairs(net, 1) == []
     solo = build_network(2, 2, [(1, 3), (1, 4), (3, 4)])
     assert sole_covered_pairs(solo, 1) == [(3, 4)]
+    # every feasible state of seeded instances, with default sustainers and
+    # with each pair given its highest covering player
+    rng = random.Random(20)
+    states = given_states = 0
+    for _ in range(12):
+        game, m, e0 = random_instance(rng, 3, 3)
+        fgs = enumerate_feasible_graphs(game, m, e0)
+        for mask in fgs.masks:
+            net = fgs.network(int(mask))
+            _assert_index_is_recomputed(net)
+            states += 1
+            if net.sustainers:
+                given = {
+                    (j, l): max(i for i in net.players if {edge(i, j), edge(i, l)} <= net.edges)
+                    for j, l in net.sustainers
+                }
+                again = build_network(
+                    net.num_players, m, net.edges, net.original_edges, sustainers=given
+                )
+                _assert_index_is_recomputed(again, given)
+                given_states += given != net.sustainers
+    assert states > 1000 and given_states > 100
 
 
 def test_minimal_profile_example1(example1):

@@ -9,10 +9,17 @@ from hidenet import (
     GameSpec,
     ValidationError,
     build_network,
+    check_equal_alpha,
+    check_one_distinct,
     is_k_nash,
     is_k_strong,
     is_nash_stable,
     is_pane,
+    join_pans,
+    max_included_pans,
+    meet_pans,
+    min_including_k_pans,
+    min_including_pans,
     utility,
 )
 from hidenet.model import utilities_from_edges
@@ -264,3 +271,29 @@ def test_the_fast_route_shares_no_code_with_the_coalition_route():
     reached = _reachable_functions(CONDITIONS.values())
     assert {"_drop_gains", "_link_gain", "sole_covered_pairs"} <= {f.__name__ for f in reached}
     assert sorted(f.__name__ for f in reached if f.__module__ == "hidenet.moves") == []
+
+
+@pytest.mark.parametrize("count", [2, 4], ids=["too-few", "too-many"])
+@pytest.mark.parametrize(
+    "check",
+    [
+        is_pane,
+        min_including_pans,
+        max_included_pans,
+        lambda net, game: max_included_pans(net, game, check_entry=False),
+        lambda net, game: min_including_k_pans(net, game, 2),
+        check_equal_alpha,
+        lambda net, game: check_one_distinct(
+            net, GameSpec((5,) + (F(1, 2),) * (game.num_players - 1))
+        ),
+        lambda net, game: join_pans(game, net, net),
+        lambda net, game: meet_pans(game, net, net),
+    ],
+    ids=["is_pane", "min_including_pans", "max_included_pans", "max_included_pans-unchecked",
+         "min_including_k_pans", "check_equal_alpha", "check_one_distinct", "join_pans",
+         "meet_pans"],
+)
+def test_a_game_with_the_wrong_number_of_alphas_is_rejected(check, count):
+    net = build_network(3, 1)
+    with pytest.raises(ValidationError, match=f"game has {count} alphas but network has 3"):
+        check(net, GameSpec((5,) * count))
