@@ -44,13 +44,7 @@ def _ratio(num: Fraction, den: Fraction) -> Ratio:
 
 def _sorted_alphas(game: GameSpec) -> list[tuple[Fraction, int]]:
     """(alpha, original player label) ascending; ties keep label order."""
-    return sorted(((a, i + 1) for i, a in enumerate(game.alphas)), key=lambda t: (t[0], t[1]))
-
-
-def _clique_network(
-    game: GameSpec, num_nonplayers: int, members: frozenset[int], original_edges
-) -> Network:
-    return build_network(game.num_players, num_nonplayers, clique_edges(members), original_edges)
+    return sorted((a, i + 1) for i, a in enumerate(game.alphas))
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,7 @@ def _clique_form(
     members = frozenset()
     if ranked_in:
         members = frozenset(label for _, label in ranked_in) | frozenset(range(n + 1, n + m + 1))
-    predicted = _clique_network(game, m, members, original_edges)
+    predicted = build_network(n, m, clique_edges(members), original_edges)
     size = len(ranked_in) + m - 1
     welfare = Fraction(size) * sum((size - a for a, _ in ranked_in), Fraction(0))
     return ClosedFormResult(threshold, members, predicted, welfare)
@@ -260,7 +254,7 @@ def equal_alpha_efficiency(
     n, m = game.num_players, num_nonplayers
     max_sw = equal_alpha_max_sw(n, m, alpha)
     bound = additive_bound(game, num_nonplayers)
-    complete = _clique_network(game, m, frozenset(range(1, n + m + 1)), original_edges)
+    complete = build_network(n, m, clique_edges(range(1, n + m + 1)), original_edges)
     empty = build_network(n, m, (), original_edges)
     if alpha < max(1, m):
         return EfficiencyReport(k, max_sw, max_sw, max_sw, Fraction(1), Fraction(1), bound, complete)
@@ -354,8 +348,8 @@ def one_distinct_efficiency(
     )
     bound = additive_bound(game, num_nonplayers)
     all_nodes = frozenset(range(1, n + m + 1))
-    witness = _clique_network(
-        game, m, all_nodes if extra > 0 else all_nodes - {1}, original_edges
+    witness = build_network(
+        n, m, clique_edges(all_nodes if extra > 0 else all_nodes - {1}), original_edges
     )
     if a1 < t:
         min_eq = max_eq = full

@@ -96,11 +96,16 @@ def detect_infiltration(
         deg[a] += 1
         deg[b] += 1
     order = sorted(deg, key=lambda v: (-deg[v], v))
+    rank = {v: x for x, v in enumerate(order, start=1)}
+    # an edge lies inside every prefix from its later endpoint on
+    closing = [0] * (num_nodes + 1)
+    for a, b in es:
+        closing[max(rank[a], rank[b])] += 1
     best: Optional[tuple[int, int]] = None  # (edits, -size)
     best_prefix = 0
+    inside = 0
     for x in range(1, num_nodes + 1):
-        members = set(order[:x])
-        inside = sum(1 for a, b in es if a in members and b in members)
+        inside += closing[x]
         insertions = x * (x - 1) // 2 - inside
         deletions = len(es) - inside
         edits = insertions + deletions

@@ -172,11 +172,7 @@ def serialize_game(net: Network, game: GameSpec) -> str:
         lines.append(" ".join(str(v) for v in net.nonplayers))
     lines.append("[original_edges]")
     lines.extend(f"{a} {b}" for a, b in sorted(net.original_edges))
-    lines.append("[edges]")
-    lines.extend(f"{a} {b}" for a, b in net.sorted_edges())
-    lines.append("[sustainers]")
-    lines.extend(f"{j} {l} {k}" for (j, l), k in sorted(net.sustainers.items()))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + serialize_graph(net)
 
 
 def serialize_graph(net: Network) -> str:

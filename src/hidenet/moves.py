@@ -21,9 +21,12 @@ the fast route builds a player's pure deletions with
 
 :func:`first_coalition_move` is the one coalition loop: the coalition
 search runs it over every adjacency choice, the k-strong growth over the
-pure additions among them.  ``tests/strategic.py`` plays the game in
-literal strategies, and ``tests/test_strategic.py`` checks this convention
-against it.
+pure additions among them.  A blocking pair is a coalition move too, the
+two members adding only their own edge, so the pairwise test at k = 1
+runs the same loop to pairs, with each missing player pair trying that
+link alone (:func:`pairwise_choices`).  ``tests/strategic.py`` plays the
+game in literal strategies, and ``tests/test_strategic.py`` checks this
+convention against it.
 
 Both routes compare integers: with alpha_i = p_i / q_i, q_i * u_i is
 q_i * S_i - p_i * deg(i), S_i being the sum of her neighbours' degrees.
@@ -136,6 +139,25 @@ def coalition_adjacency_choices(
         yield frozenset(fixed | chosen)
 
 
+def pairwise_choices(
+    net: Network,
+) -> Callable[[Network, Sequence[int]], Iterable[frozenset[Edge]]]:
+    """The choices of the pairwise test at k = 1: every adjacency choice of
+    a single player, and for a missing player pair its link alone, the
+    player-incident edges plus that pair.  Run to pairs, the coalition loop
+    reaches the links only once no single player has an improving move;
+    every non-player pair a player covers is then interconnected, so a link
+    closes to ``net.edges`` plus that pair."""
+    incident = player_incident_edges(net)
+
+    def choices(state: Network, coalition: Sequence[int]) -> Iterable[frozenset[Edge]]:
+        if len(coalition) == 1:
+            return coalition_adjacency_choices(state, coalition)
+        return () if coalition in state.edges else (incident | {coalition},)
+
+    return choices
+
+
 def make_move(
     net: Network, game: GameSpec, coalition: Sequence[int], new_edges: frozenset[Edge]
 ) -> DeviationMove:
@@ -203,24 +225,6 @@ def improves_all(base: Sequence[int], after: Sequence[int]) -> bool:
     scores, in one order), one strictly."""
     deltas = [a - b for b, a in zip(base, after)]
     return min(deltas) >= 0 and max(deltas) > 0
-
-
-def blocking_pair(net: Network, game: GameSpec) -> Optional[Edge]:
-    """Missing player pair both sides weakly want, one strictly (first in
-    lexicographic order).
-
-    The coalition search's pair check: each link is scored as
-    :func:`first_coalition_move` scores a move, on the edge sets before and
-    after it, and not by the fast route's marginals.
-    """
-    scores = scaled_utilities(net.edges, net.num_nodes, game.ratios, net.players)
-    for pair in itertools.combinations(net.players, 2):
-        if pair in net.edges:
-            continue
-        after = scaled_utilities(net.edges | {pair}, net.num_nodes, game.ratios, pair)
-        if improves_all([scores[i - 1] for i in pair], after):
-            return pair
-    return None
 
 
 def check_move_budget(net: Network, k: int) -> None:

@@ -25,8 +25,6 @@ if TYPE_CHECKING:
 
 
 def rational_str(value) -> str:
-    if value is None:
-        return "none"
     if isinstance(value, float):
         if math.isinf(value):
             return "inf"

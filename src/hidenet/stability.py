@@ -36,11 +36,11 @@ from .model import (
 )
 from .moves import (
     DeviationMove,
-    blocking_pair,
     check_move_budget,
     coalition_adjacency_choices,
     first_coalition_move,
     make_move,
+    pairwise_choices,
 )
 
 
@@ -345,17 +345,25 @@ def is_pane(net: Network, game: GameSpec) -> StabilityVerdict:
     return StabilityVerdict(False, "PANE", 1, move, condition)
 
 
-def is_k_nash(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
-    """k-strong Nash stability by exhaustive coalition-deviation search."""
+def _search_verdict(
+    net: Network, game: GameSpec, k: int, label: str, size: int, choices
+) -> StabilityVerdict:
+    """The coalition search's verdict at strength k: coalitions of up to
+    ``size`` members try ``choices``, and the first improving move is the
+    witness."""
     require_alpha_count(net, game)
     require_strength(k, net.num_players)
     check_move_budget(net, k)
+    found = first_coalition_move(net, game, size, choices)
+    if found is None:
+        return StabilityVerdict(True, label, k)
+    return StabilityVerdict(False, label, k, make_move(net, game, *found))
+
+
+def is_k_nash(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
+    """k-strong Nash stability by exhaustive coalition-deviation search."""
     label = "NE" if k == 1 else "k-NE"
-    found = first_coalition_move(net, game, k, coalition_adjacency_choices)
-    if found is not None:
-        coalition, new_edges = found
-        return StabilityVerdict(False, label, k, make_move(net, game, coalition, new_edges))
-    return StabilityVerdict(True, label, k)
+    return _search_verdict(net, game, k, label, k, coalition_adjacency_choices)
 
 
 def is_nash_stable(net: Network, game: GameSpec) -> StabilityVerdict:
@@ -365,23 +373,12 @@ def is_nash_stable(net: Network, game: GameSpec) -> StabilityVerdict:
 def is_k_strong(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """Pairwise k-strong Nash stability (k-PANS membership) by search.
 
-    For k >= 2 a blocking pair is itself a two-member coalition move, so
-    pairwise stability is implied by the coalition search; the implication
-    is asserted rather than trusted.
+    A blocking pair is the two-member move that adds only their own edge.
+    For k >= 2 that link is one of the pair's adjacency choices, so the
+    search is :func:`is_k_nash`'s.  At k = 1 the same loop runs on to
+    pairs, each missing player pair trying its link alone
+    (``moves.pairwise_choices``).
     """
-    label = "PANE" if k == 1 else "k-PANE"
-    nash = is_k_nash(net, game, k)
-    if not nash.stable:
-        return StabilityVerdict(False, label, k, nash.witness)
-    pair = blocking_pair(net, game)
-    if pair is not None:
-        if k >= 2:
-            raise AssertionError(
-                f"coalition search found no deviation but pair {pair} blocks; "
-                "pairwise stability should be implied for k >= 2"
-            )
-        i, j = pair
-        return StabilityVerdict(
-            False, label, k, make_move(net, game, [i, j], frozenset(net.edges | {pair}))
-        )
-    return StabilityVerdict(True, label, k)
+    if k >= 2:
+        return _search_verdict(net, game, k, "k-PANE", k, coalition_adjacency_choices)
+    return _search_verdict(net, game, k, "PANE", 2, pairwise_choices(net))

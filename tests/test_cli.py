@@ -180,6 +180,11 @@ def test_exit_code_3_on_budget(tmp_path):
     big.write_text("\n".join(lines) + "\n")
     code, out = run("enumerate", "--game", str(big))
     assert code == 3 and "budget" in out
+    code, out = run("verify", "--game", fx("isolated20.game"), "--k", "2")
+    assert code == 3 and out == (
+        "error: coalition search needs ~2199027449856 moves for k=2, "
+        "over the budget of 2000000\n"
+    )
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -349,6 +354,48 @@ def test_detect_without_nodes_exits_2(monkeypatch, capsys, tmp_path, text):
 def test_out_to_a_directory_exits_2(monkeypatch, capsys, tmp_path):
     argv = ["bound", "--game", fx("fig2.game"), "--out", str(tmp_path)]
     _exits_2_without_traceback(monkeypatch, capsys, argv)
+
+
+_GAME = "[players]\n1 1\n2 1\n[nonplayers]\n3\n"
+_ONE = ["--graph", fx("observed.graph")]
+_TWO = _ONE * 2
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        pytest.param(["verify", "--game", "INPUT"], "[players]\nx 1\n2 1\n",
+                     "line 2: expected an integer, got 'x'", id="non-integer-token"),
+        pytest.param(["verify", "--game", "INPUT"], _GAME + "[edges]\n1 2 3\n",
+                     "line 7: edge lines are 'a b'", id="edge-fields"),
+        pytest.param(["verify", "--game", "INPUT"], _GAME + "[sustainers]\n1 3\n",
+                     "line 7: sustainer lines are 'j l k'", id="sustainer-fields"),
+        pytest.param(["verify", "--game", "INPUT"], _GAME + "[nodes]\n3\n",
+                     "line 7: [nodes] belongs to standalone graph files", id="nodes-in-game"),
+        pytest.param(["detect", "--graph", "INPUT"], "[nodes]\n3 4\n",
+                     "line 2: [nodes] holds a single count", id="nodes-tokens"),
+        pytest.param(["detect", "--graph", "INPUT"], "[nodes]\n3\n[sustainers]\n1 2 3\n",
+                     "line 4: plain graphs only carry [nodes] and [edges]", id="plain-section"),
+        pytest.param(["detect", "--graph", "INPUT"], "[nodes]\n3\n[edges]\n1 4\n",
+                     "edge (1, 4) references unknown nodes", id="plain-edge-range"),
+        pytest.param(["verify"], "", "verify needs --game", id="no-game"),
+        pytest.param(["verify", "--game", fx("fig2.game"), *_TWO], "",
+                     "verify needs exactly 1 --graph file(s), got 2", id="verify-graphs"),
+        pytest.param(["join", "--game", fx("fig2.game"), *_ONE], "",
+                     "join needs exactly 2 --graph file(s), got 1", id="join-graphs"),
+        pytest.param(["detect"], "", "detect needs exactly one --graph file", id="detect-none"),
+        pytest.param(["detect", *_TWO], "", "detect needs exactly one --graph file",
+                     id="detect-two"),
+    ],
+)
+def test_input_errors_exit_2_with_their_message(
+    monkeypatch, capsys, tmp_path, argv, text, message
+):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = [str(path) if a == "INPUT" else a for a in argv]
+    err = _exits_2_without_traceback(monkeypatch, capsys, argv)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("reader", ["game", "graph", "detect"])

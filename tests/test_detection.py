@@ -1,3 +1,4 @@
+import json
 import pathlib
 import resource
 import subprocess
@@ -154,3 +155,19 @@ def test_detect_with_a_long_decimal_beta_exits_0_within_a_second(beta):
     )
     assert proc.returncode == 0, proc.stderr
     assert time.perf_counter() - start < 1.0
+
+
+def test_detect_on_200000_nodes_exits_0_within_seconds(tmp_path):
+    # the prefix scan must stay linear in the node count: one quadratic in
+    # it takes minutes here
+    plain = tmp_path / "large.graph"
+    plain.write_text("[nodes]\n200000\n[edges]\n1 2\n")
+    src = pathlib.Path(__file__).parents[1] / "src"
+    argv = [sys.executable, "-m", "hidenet.cli", "detect", "--graph", str(plain)]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, timeout=20, env={"PYTHONPATH": str(src)}
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["report"]
+    assert report["clique"] == [1, 2] and report["edits_needed"] == 0
+    assert len(report["isolated"]) == 199998

@@ -27,7 +27,7 @@ from hidenet import (
 )
 from hidenet.analytics import monotonicity_check, strength_equivalences
 from hidenet.model import utilities_from_edges
-from hidenet.moves import blocking_pair, move_count_bound
+from hidenet.moves import move_count_bound
 
 from conftest import complete_edges, random_instance, relabel_edges, relabel_game
 from strategic import minimal_profile, resulting_network
@@ -163,12 +163,13 @@ def test_pairwise_explicit_check_redundant_for_k2():
     rng = random.Random(707)
     for game, m, e0 in _stable_inputs(rng, 6, max_players=3, max_nonplayers=1):
         fgs = enumerate_feasible_graphs(game, m, e0)
+        pairwise = fgs.pairwise_flags()
         for mask in fgs.masks:
             net = fgs.network(int(mask))
             nash2 = is_k_nash(net, game, 2).stable
             assert nash2 == is_k_strong(net, game, 2).stable
             if nash2:
-                assert blocking_pair(net, game) is None
+                assert pairwise[mask]
 
 
 def test_utility_monotone_along_stable_inclusions():
