@@ -84,7 +84,6 @@ def _load_graphs(args, base: Network, want: int) -> list[Network]:
 
 
 def _characterize(net: Network, game: GameSpec, args, m: int, e0) -> dict:
-    require_strength(args.k, game.num_players)  # the general class never reads k
     payload: dict = {
         "greatest": reports.closed_form_dict(analytics.greatest_closed_form(game, m, e0)),
         "least": reports.closed_form_dict(analytics.least_closed_form(game, m, e0)),
@@ -120,7 +119,6 @@ def _verify(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """k-PANS lies inside PANS, so ``is_pane`` settles k = 1 and every
     unstable graph; its witness has at most two members, so it is a k-move.
     Only a pairwise stable graph at k >= 2 needs the coalition search."""
-    require_strength(k, game.num_players)
     verdict = is_pane(net, game)
     if k == 1:
         return verdict
@@ -164,6 +162,7 @@ def _dispatch(args) -> dict:
         return {"command": "detect", "report": reports.detection_dict(report)}
 
     base, game = _load_game(args)
+    require_strength(args.k, game.num_players)  # also where the command never reads k
     if command in ("enumerate", "efficiency", "oracle-check"):
         from importlib.util import find_spec
 
@@ -179,10 +178,8 @@ def _dispatch(args) -> dict:
             "verdict": reports.verdict_dict(_verify(nets[0], game, args.k)),
             "utilities": reports.utility_dict(utility(nets[0], game)),
         }
-    if command in ("least", "greatest", "join", "meet"):
-        require_strength(args.k, game.num_players)
-        if args.k != 1:
-            raise ValidationError(f"{command} builds pairwise Nash stable graphs only (k = 1)")
+    if command in ("least", "greatest", "join", "meet") and args.k != 1:
+        raise ValidationError(f"{command} builds pairwise Nash stable graphs only (k = 1)")
     if command in ("least", "greatest"):
         op = lattice.least_pans if command == "least" else lattice.greatest_pans
         net = op(game, m, e0)

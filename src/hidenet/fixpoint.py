@@ -132,7 +132,9 @@ def min_including_k_pans(
     restricted to pure additions (``moves.coalition_additions``): the
     first coalition, by size and then lexicographically, with an improving
     addition applies its inclusion-minimal one, until no coalition of size
-    up to k has one.  The counter ticks once per addition tried.
+    up to k has one.  Each step replays the witness the search returns, as
+    ``(edges - deleted) | added``.  The counter ticks once per addition
+    tried.
     """
     require_strength(k, game.num_players)
     if k == 1:
@@ -145,6 +147,6 @@ def min_including_k_pans(
             yield adjacency
 
     current = net
-    while (found := first_coalition_move(current, game, k, additions)) is not None:
-        current = current.with_edges(found[1])
+    while (move := first_coalition_move(current, game, k, additions)) is not None:
+        current = current.with_edges((current.edges - move.deleted_edges) | move.added_edges)
     return current

@@ -55,13 +55,15 @@ def original_edge_set(
     num_players: int, num_nonplayers: int, pairs: Iterable[Sequence[int]]
 ) -> frozenset[Edge]:
     """The original edges E0 of an instance, normalised and validated: every
-    pair must name nodes of the instance, and then join two non-players."""
+    pair must name nodes of the instance, and then join two non-players.
+    A frozenset already so normalised is returned itself, so the states of
+    one instance share their E0."""
     e0 = edge_set(pairs)
     _require_nodes(e0, num_players + num_nonplayers, "original edge")
     touching = [e for e in e0 if e[0] <= num_players]
     if touching:
         raise ValidationError(f"original edge {min(touching)} touches a player")
-    return e0
+    return pairs if isinstance(pairs, frozenset) and pairs == e0 else e0
 
 
 def as_fraction(value) -> Fraction:

@@ -32,8 +32,12 @@ Both routes compare integers: with alpha_i = p_i / q_i, q_i * u_i is
 q_i * S_i - p_i * deg(i), S_i being the sum of her neighbours' degrees.
 The coalition search scores each member so on the edge sets before and
 after a move (:func:`model.scaled_utilities`, which reads nothing cached
-on the network), and builds ``Fraction`` gains only for the witness it
-returns.  The fast route's single-player marginals live in ``stability``.
+on the network), and returns its own witness, the ``Fraction`` gains built
+from the scores it compared.  :func:`make_move` builds the witness of a
+move found elsewhere (the structural checker's, the oracle's).  The search
+lists the free non-player pairs, those outside E0, once; without any, a
+move's closure is its adjacency plus E0.  The fast route's single-player
+marginals live in ``stability``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,34 @@ class DeviationMove:
     deltas: dict[int, Fraction]
 
 
+def _closer(net: Network) -> Callable[[Sequence[int], frozenset[Edge]], frozenset[Edge]]:
+    """:func:`closure` on one network, its free pairs (the non-player pairs
+    outside E0) listed once.  Without free pairs a move's closure is its
+    adjacency plus E0."""
+    e0 = net.original_edges
+    free = [p for p in itertools.combinations(net.nonplayers, 2) if p not in e0]
+    if not free:
+        return lambda coalition, adjacency: adjacency | e0
+    n, edges, players = net.num_players, net.edges, net.players
+
+    def close(coalition: Sequence[int], adjacency: frozenset[Edge]) -> frozenset[Edge]:
+        reach: dict[int, set[int]] = {i: set() for i in players}
+        for a, b in adjacency:
+            if a <= n < b:
+                reach[a].add(b)
+        everyone = list(reach.values())
+        members = [reach[i] for i in coalition]
+        out = set(adjacency)
+        out |= e0
+        for j, l in free:
+            covering = everyone if (j, l) in edges else members
+            if any(j in s and l in s for s in covering):
+                out.add((j, l))
+        return frozenset(out)
+
+    return close
+
+
 def closure(
     net: Network,
     coalition: Sequence[int],
@@ -74,29 +106,14 @@ def closure(
     survives iff some player still covers it, and any pair covered by a
     coalition member is interconnected.
     """
-    n = net.num_players
-    adj: dict[int, set[int]] = {i: set() for i in net.players}
-    for a, b in adjacency:
-        if a <= n:
-            adj[a].add(b)
-        if b <= n:
-            adj[b].add(a)
-    out = set(adjacency) | set(net.original_edges)
-    members = set(coalition)
-    for j, l in itertools.combinations(net.nonplayers, 2):
-        if (j, l) in net.original_edges:
-            continue
-        covers = [i for i in net.players if j in adj[i] and l in adj[i]]
-        if (j, l) in net.edges:
-            if covers:
-                out.add((j, l))
-        elif any(i in members for i in covers):
-            out.add((j, l))
-    return frozenset(out)
+    return _closer(net)(coalition, adjacency)
 
 
 def player_incident_edges(net: Network) -> frozenset[Edge]:
-    return frozenset(e for e in net.edges if net.is_player(e[0]) or net.is_player(e[1]))
+    """The edges with a player end: a normalised edge ``(a, b)`` has one
+    exactly when ``a`` is a player."""
+    n = net.num_players
+    return frozenset(e for e in net.edges if e[0] <= n)
 
 
 def move_count_bound(net: Network, k: int) -> int:
@@ -117,26 +134,25 @@ def coalition_adjacency_choices(
     Deterministic order: choices enumerate binary counters over the sorted
     list of controllable positions, so identical inputs replay identically.
     """
+    n = net.num_players
     members = sorted(coalition)
     member_set = set(members)
-    fixed = frozenset(
-        e
-        for e in player_incident_edges(net)
-        if not (e[0] in member_set or e[1] in member_set)
-    )
+    kept, to_outside = [], []
+    for e in net.edges:
+        if e[0] > n:
+            continue
+        a_in, b_in = e[0] in member_set, e[1] in member_set
+        if not (a_in or b_in):
+            kept.append(e)
+        elif a_in != b_in and e[1] <= n:
+            to_outside.append(e)
     inside = [edge(a, b) for a, b in itertools.combinations(members, 2)]
     to_nonplayers = [edge(i, j) for i in members for j in net.nonplayers]
-    to_outside = sorted(
-        e
-        for e in net.edges
-        if (e[0] in member_set) != (e[1] in member_set)
-        and net.is_player(e[0])
-        and net.is_player(e[1])
-    )
-    positions = sorted(set(inside + to_nonplayers)) + to_outside
+    positions = sorted(inside + to_nonplayers) + sorted(to_outside)
+    fixed = frozenset(kept)
+    width = range(len(positions))
     for bits in range(1 << len(positions)):
-        chosen = {positions[t] for t in range(len(positions)) if bits >> t & 1}
-        yield frozenset(fixed | chosen)
+        yield fixed.union([positions[t] for t in width if bits >> t & 1])
 
 
 def pairwise_choices(
@@ -147,32 +163,49 @@ def pairwise_choices(
     player-incident edges plus that pair.  Run to pairs, the coalition loop
     reaches the links only once no single player has an improving move;
     every non-player pair a player covers is then interconnected, so a link
-    closes to ``net.edges`` plus that pair."""
-    incident = player_incident_edges(net)
+    closes to ``net.edges`` plus that pair.  The player-incident edges are
+    listed when the first link is tried."""
+    incident: Optional[frozenset[Edge]] = None
 
     def choices(state: Network, coalition: Sequence[int]) -> Iterable[frozenset[Edge]]:
+        nonlocal incident
         if len(coalition) == 1:
             return coalition_adjacency_choices(state, coalition)
-        return () if coalition in state.edges else (incident | {coalition},)
+        if coalition in state.edges:
+            return ()
+        if incident is None:
+            incident = player_incident_edges(net)
+        return (incident.union((coalition,)),)
 
     return choices
+
+
+def _witness(
+    net: Network,
+    game: GameSpec,
+    members: Sequence[int],
+    new_edges: frozenset[Edge],
+    base: Sequence[int],
+    after: Sequence[int],
+) -> DeviationMove:
+    """The move to ``new_edges``, its deltas read from the members' scores
+    (``model.scaled_utilities``) before and after it."""
+    return DeviationMove(
+        coalition=tuple(members),
+        deleted_edges=net.edges - new_edges,
+        added_edges=new_edges - net.edges,
+        deltas={i: Fraction(a - b, game.ratio(i)[1]) for i, b, a in zip(members, base, after)},
+    )
 
 
 def make_move(
     net: Network, game: GameSpec, coalition: Sequence[int], new_edges: frozenset[Edge]
 ) -> DeviationMove:
+    """The witness for a move found without the coalition loop's scores."""
     members = sorted(coalition)
     base = scaled_utilities(net.edges, net.num_nodes, game.ratios, members)
     after = scaled_utilities(new_edges, net.num_nodes, game.ratios, members)
-    deltas = {
-        i: Fraction(a - b, game.ratio(i)[1]) for i, b, a in zip(members, base, after)
-    }
-    return DeviationMove(
-        coalition=tuple(members),
-        deleted_edges=net.edges - new_edges,
-        added_edges=new_edges - net.edges,
-        deltas=deltas,
-    )
+    return _witness(net, game, members, new_edges, base, after)
 
 
 def coalition_additions(net: Network, coalition: Sequence[int]) -> Iterator[frozenset[Edge]]:
@@ -189,7 +222,7 @@ def coalition_additions(net: Network, coalition: Sequence[int]) -> Iterator[froz
     missing = sorted(set(itertools.chain(inside, to_nonplayers)) - current)
     for r in range(len(missing) + 1):
         for added in itertools.combinations(missing, r):
-            yield current | frozenset(added)
+            yield current.union(added)
 
 
 def first_coalition_move(
@@ -197,26 +230,28 @@ def first_coalition_move(
     game: GameSpec,
     k: int,
     choices: Callable[[Network, Sequence[int]], Iterable[frozenset[Edge]]],
-) -> Optional[tuple[tuple[int, ...], frozenset[Edge]]]:
-    """First (coalition, edge set after the move) whose move weakly improves
-    every member and strictly improves one.
+) -> Optional[DeviationMove]:
+    """The first move that weakly improves every member of its coalition
+    and strictly improves one, as its witness, or None.
 
     Coalitions run by size up to k, then lexicographically, and each tries
     ``choices(net, coalition)`` in order, closed with every pair a member
     covers interconnected.  Closure keeps the adjacency as the
     player-incident part, so distinct choices never repeat a move.
     """
-    scores = scaled_utilities(net.edges, net.num_nodes, game.ratios, net.players)
+    close = _closer(net)
+    ratios, num_nodes = game.ratios, net.num_nodes
+    scores = scaled_utilities(net.edges, num_nodes, ratios, net.players)
     for size in range(1, min(k, net.num_players) + 1):
         for coalition in itertools.combinations(net.players, size):
             base = [scores[i - 1] for i in coalition]
             for adjacency in choices(net, coalition):
-                new_edges = closure(net, coalition, adjacency)
+                new_edges = close(coalition, adjacency)
                 if new_edges == net.edges:
                     continue
-                after = scaled_utilities(new_edges, net.num_nodes, game.ratios, coalition)
+                after = scaled_utilities(new_edges, num_nodes, ratios, coalition)
                 if improves_all(base, after):
-                    return coalition, new_edges
+                    return _witness(net, game, coalition, new_edges, base, after)
     return None
 
 

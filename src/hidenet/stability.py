@@ -354,10 +354,8 @@ def _search_verdict(
     require_alpha_count(net, game)
     require_strength(k, net.num_players)
     check_move_budget(net, k)
-    found = first_coalition_move(net, game, size, choices)
-    if found is None:
-        return StabilityVerdict(True, label, k)
-    return StabilityVerdict(False, label, k, make_move(net, game, *found))
+    move = first_coalition_move(net, game, size, choices)
+    return StabilityVerdict(move is None, label, k, move)
 
 
 def is_k_nash(net: Network, game: GameSpec, k: int) -> StabilityVerdict:

@@ -196,5 +196,5 @@ def improving_coalition_move(
     def choices(state: Network, c: Sequence[int]) -> Iterable[frozenset[Edge]]:
         return coalition_adjacency_choices(state, c) if c == members else ()
 
-    found = first_coalition_move(net, game, len(members), choices)
-    return None if found is None else found[1]
+    move = first_coalition_move(net, game, len(members), choices)
+    return None if move is None else (net.edges - move.deleted_edges) | move.added_edges

@@ -386,6 +386,10 @@ _TWO = _ONE * 2
         pytest.param(["detect"], "", "detect needs exactly one --graph file", id="detect-none"),
         pytest.param(["detect", *_TWO], "", "detect needs exactly one --graph file",
                      id="detect-two"),
+        pytest.param(["bound", "--game", fx("fig2.game"), "--k", "5"], "",
+                     "strength k=5 outside 1..4", id="bound-strength"),
+        pytest.param(["oracle-check", "--game", fx("fig2.game"), "--k", "5"], "",
+                     "strength k=5 outside 1..4", id="oracle-check-strength"),
     ],
 )
 def test_input_errors_exit_2_with_their_message(

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import resource
 import subprocess
@@ -151,7 +152,7 @@ def test_detect_with_a_long_decimal_beta_exits_0_within_a_second(beta):
     start = time.perf_counter()
     proc = subprocess.run(
         argv, capture_output=True, text=True, timeout=10,
-        env={"PYTHONPATH": str(src)}, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 0, proc.stderr
     assert time.perf_counter() - start < 1.0
@@ -165,7 +166,8 @@ def test_detect_on_200000_nodes_exits_0_within_seconds(tmp_path):
     src = pathlib.Path(__file__).parents[1] / "src"
     argv = [sys.executable, "-m", "hidenet.cli", "detect", "--graph", str(plain)]
     proc = subprocess.run(
-        argv, capture_output=True, text=True, timeout=20, env={"PYTHONPATH": str(src)}
+        argv, capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)["report"]

@@ -233,16 +233,20 @@ def test_integer_coalition_scores_match_fraction_utilities():
             net = fgs.network(mask)
             for k in net.players:
                 for choices in (coalition_adjacency_choices, coalition_additions):
-                    found = first_coalition_move(net, game, k, choices)
-                    assert found == _fraction_first_move(net, game, k, choices)
+                    move = first_coalition_move(net, game, k, choices)
+                    want = _fraction_first_move(net, game, k, choices)
                     checked += 1
-                    if found is None:
+                    assert (move is None) == (want is None)
+                    if move is None:
                         continue
                     moved += 1
-                    coalition, new_edges = found
-                    move = make_move(net, game, coalition, new_edges)
-                    base, after = utility(net, game), utility(replay(net, move), game)
+                    coalition, new_edges = want
+                    assert move.coalition == coalition
+                    after_net = replay(net, move)
+                    assert after_net.edges == new_edges
+                    base, after = utility(net, game), utility(after_net, game)
                     assert move.deltas == {i: after.of(i) - base.of(i) for i in coalition}
+                    assert move == make_move(net, game, coalition, new_edges)
     assert moved and moved < checked
 
 
