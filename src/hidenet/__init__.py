@@ -15,7 +15,7 @@ from .model import (
     utility,
 )
 from .moves import DeviationMove
-from .stability import StabilityVerdict, is_k_nash, is_k_strong, is_nash_stable, is_pane
+from .stability import StabilityVerdict, is_k_nash, is_k_strong, is_pane
 from .fixpoint import (
     OpCounter,
     max_included_pans,
@@ -49,12 +49,7 @@ from .analytics import (
     one_distinct_efficiency,
     strength_equivalences,
 )
-from .detection import (
-    DetectionReport,
-    detect_infiltration,
-    detect_network,
-    predict_equilibrium_shape,
-)
+from .detection import DetectionReport, detect_infiltration
 from .gamefile import parse_game_file, parse_graph_file, serialize_game, serialize_graph
 
 # The oracle needs numpy, which costs most of the package's import time, so

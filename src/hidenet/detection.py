@@ -8,7 +8,9 @@ The detector tests whether an observed plain graph is within a few edge
 edits of the footprint, scores the clique's natural-occurrence prior, and
 flags the disconnected nodes as the suspected hiders (the clique itself
 says nothing about who is hiding).  A non-matching graph does not certify
-absence of infiltration; the test is one-sided.
+absence of infiltration; the test is one-sided.  The footprint a given
+game leads to is ``analytics.greatest_closed_form``; the detector needs no
+game, only the graph.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .analytics import greatest_closed_form
-from .errors import ValidationError
-from .model import GameSpec, Network, edge_set
+from .errors import BudgetExceededError, ValidationError, count_text
+from .model import edge_set
 
 DEFAULT_BETA = Fraction(5, 2)
+# Most nodes a plain graph may have: a detect run holds some 270 bytes a
+# node (its tables and the report), so 10^7 nodes take near 3 GB.
+MAX_NODES = 10**7
 
 Prior = Union[Fraction, float]
 
@@ -78,7 +82,8 @@ def detect_infiltration(
 
     Clique candidates are degree-greedy prefixes: nodes sorted by degree
     (descending, then label), each prefix scored by the insertions needed
-    to complete it plus the deletions to isolate the rest.
+    to complete it plus the deletions to isolate the rest.  A graph of more
+    than ``MAX_NODES`` nodes is refused before any per-node table is built.
     """
     beta = Fraction(beta)
     if not 2 < beta < 3:
@@ -87,6 +92,11 @@ def detect_infiltration(
         raise ValidationError("slack must be non-negative")
     if num_nodes < 1:
         raise ValidationError(f"a plain graph needs at least one node, got {num_nodes}")
+    if num_nodes > MAX_NODES:
+        raise BudgetExceededError(
+            f"a plain graph of {count_text(num_nodes)} nodes exceeds the detection "
+            f"limit of {MAX_NODES} nodes"
+        )
     es = edge_set(edges)
     for a, b in es:
         if not 1 <= a <= num_nodes or not 1 <= b <= num_nodes:
@@ -130,19 +140,3 @@ def detect_infiltration(
         tolerance_used=slack,
         edits_needed=edits,
     )
-
-
-def detect_network(net: Network, beta: Fraction = DEFAULT_BETA, slack: int = 0) -> DetectionReport:
-    return detect_infiltration(net.num_nodes, net.edges, beta, slack)
-
-
-def predict_equilibrium_shape(
-    game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()
-) -> Network:
-    """The stable state that fully informed hiders coordinate on.
-
-    Each player computes the largest i with i + m - 1 >= alpha_(i) over
-    ascending alphas; a positive threshold means a clique on those players
-    plus all non-players, otherwise everyone stays put.
-    """
-    return greatest_closed_form(game, num_nonplayers, original_edges).predicted

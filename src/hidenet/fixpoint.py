@@ -40,13 +40,10 @@ class OpCounter:
 
     ops: int = 0
 
-    def tick(self, amount: int = 1) -> None:
-        self.ops += amount
 
-
-def _tick(counter: Optional[OpCounter], amount: int = 1) -> None:
+def _tick(counter: Optional[OpCounter]) -> None:
     if counter is not None:
-        counter.tick(amount)
+        counter.ops += 1
 
 
 def _sweep(net: Network, game: GameSpec, names, counter) -> Network:

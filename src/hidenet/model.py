@@ -181,15 +181,6 @@ class Network:
     def added_edges(self) -> frozenset[Edge]:
         return self.edges - self.original_edges
 
-    def added_nonplayer_edges(self) -> frozenset[Edge]:
-        return frozenset(
-            e for e in self.added_edges if not self.is_player(e[0]) and not self.is_player(e[1])
-        )
-
-    def common_player_neighbours(self, j: int, l: int) -> tuple[int, ...]:
-        """Players adjacent to both j and l, ascending."""
-        return tuple(_common_players(self.neighbours(j), self.neighbours(l), self.num_players))
-
     def with_edges(self, edges: Iterable[Sequence[int]]) -> "Network":
         """A validated copy of this network with a different edge set."""
         return build_network(self.num_players, self.num_nonplayers, edges, self.original_edges)

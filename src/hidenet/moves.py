@@ -15,9 +15,9 @@ transition subject to consent rules:
 
 Interconnect actions cost nothing and raise neighbour degrees, so keeping
 or adding every feasible one weakly improves every member.  Improving-move
-search therefore only visits interconnect-maximal moves (:func:`closure`);
-the fast route builds a player's pure deletions with
-``stability.pure_deletion``.
+search therefore only visits interconnect-maximal moves, each closed by
+the function :func:`closure` returns for its network; the fast route builds
+a player's pure deletions with ``stability.pure_deletion``.
 
 :func:`first_coalition_move` is the one coalition loop: the coalition
 search runs it over every adjacency choice, the k-strong growth over the
@@ -35,9 +35,10 @@ after a move (:func:`model.scaled_utilities`, which reads nothing cached
 on the network), and returns its own witness, the ``Fraction`` gains built
 from the scores it compared.  :func:`make_move` builds the witness of a
 move found elsewhere (the structural checker's, the oracle's).  The search
-lists the free non-player pairs, those outside E0, once; without any, a
-move's closure is its adjacency plus E0.  The fast route's single-player
-marginals live in ``stability``.
+builds its closing function once, so the free non-player pairs, those
+outside E0, are listed once; without any, a move's closure is its
+adjacency plus E0.  The fast route's single-player marginals live in
+``stability``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, count_text
 from .model import Edge, GameSpec, Network, edge, scaled_utilities
 
 DEFAULT_MOVE_BUDGET = 2_000_000
@@ -66,10 +67,15 @@ class DeviationMove:
     deltas: dict[int, Fraction]
 
 
-def _closer(net: Network) -> Callable[[Sequence[int], frozenset[Edge]], frozenset[Edge]]:
-    """:func:`closure` on one network, its free pairs (the non-player pairs
-    outside E0) listed once.  Without free pairs a move's closure is its
-    adjacency plus E0."""
+def closure(net: Network) -> Callable[[Sequence[int], frozenset[Edge]], frozenset[Edge]]:
+    """The function that closes a move on ``net``: given a coalition and
+    ``adjacency``, every player-incident edge after the move, it returns the
+    full post-move edge set.  The non-player pairs are forced: E0 persists,
+    an existing added pair survives iff some player still covers it, and any
+    pair covered by a coalition member is interconnected.
+
+    The free pairs (the non-player pairs outside E0) are listed once, here;
+    without any, a move's closure is its adjacency plus E0."""
     e0 = net.original_edges
     free = [p for p in itertools.combinations(net.nonplayers, 2) if p not in e0]
     if not free:
@@ -92,21 +98,6 @@ def _closer(net: Network) -> Callable[[Sequence[int], frozenset[Edge]], frozense
         return frozenset(out)
 
     return close
-
-
-def closure(
-    net: Network,
-    coalition: Sequence[int],
-    adjacency: frozenset[Edge],
-) -> frozenset[Edge]:
-    """Full post-move edge set implied by the players' adjacency choices.
-
-    ``adjacency`` holds every player-incident edge after the move.  The
-    non-player pairs are then forced: E0 persists, an existing added pair
-    survives iff some player still covers it, and any pair covered by a
-    coalition member is interconnected.
-    """
-    return _closer(net)(coalition, adjacency)
 
 
 def player_incident_edges(net: Network) -> frozenset[Edge]:
@@ -239,7 +230,7 @@ def first_coalition_move(
     covers interconnected.  Closure keeps the adjacency as the
     player-incident part, so distinct choices never repeat a move.
     """
-    close = _closer(net)
+    close = closure(net)
     ratios, num_nodes = game.ratios, net.num_nodes
     scores = scaled_utilities(net.edges, num_nodes, ratios, net.players)
     for size in range(1, min(k, net.num_players) + 1):
@@ -266,6 +257,6 @@ def check_move_budget(net: Network, k: int) -> None:
     bound = move_count_bound(net, k)
     if bound > DEFAULT_MOVE_BUDGET:
         raise BudgetExceededError(
-            f"coalition search needs ~{bound} moves for k={k}, "
+            f"coalition search needs ~{count_text(bound)} moves for k={k}, "
             f"over the budget of {DEFAULT_MOVE_BUDGET}"
         )

@@ -330,9 +330,6 @@ class FeasibleGraphSet:
             self._pairwise = flags
         return self._pairwise
 
-    def nash_masks(self, k: int = 1) -> list[int]:
-        return [int(t) for t in np.flatnonzero(self.nash_flags(k))]
-
     def pans_masks(self, k: int = 1) -> list[int]:
         return [int(t) for t in np.flatnonzero(self.nash_flags(k) & self.pairwise_flags())]
 

@@ -364,10 +364,6 @@ def is_k_nash(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     return _search_verdict(net, game, k, label, k, coalition_adjacency_choices)
 
 
-def is_nash_stable(net: Network, game: GameSpec) -> StabilityVerdict:
-    return is_k_nash(net, game, 1)
-
-
 def is_k_strong(net: Network, game: GameSpec, k: int) -> StabilityVerdict:
     """Pairwise k-strong Nash stability (k-PANS membership) by search.
 

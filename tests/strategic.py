@@ -1,14 +1,16 @@
 """The hiders' game in literal strategies, as a reference for the tests.
 
 hidenet works on graphs: it reads each state as its minimal strategy
-profile and decides every move through one convention (``moves.closure``,
-the oracle's folded closure and the fast route's sole-cover rules all
-follow it), so cross-validating those routes cannot catch an error in the
-convention itself.  This module keeps the game as it is played: each
-player chooses the nodes she connects to and the non-player pairs she
-interconnects, and the resulting graph follows from everyone's choices.
-``test_strategic.py`` compares literal deviations with the convention's
-coalition moves.
+profile and decides every move through one convention (the closing
+function ``moves.closure(net)`` returns, the oracle's folded closure and
+the fast route's sole-cover rules all follow it), so cross-validating
+those routes cannot catch an error in the convention itself.  This module
+keeps the game as it is played: each player chooses the nodes she
+connects to and the non-player pairs she interconnects, and the resulting
+graph follows from everyone's choices.  It reads which players cover a
+pair from the neighbour sets itself, not through the model's cover
+helpers, which decide the sustainers it checks.  ``test_strategic.py``
+compares literal deviations with the convention's coalition moves.
 """
 
 from __future__ import annotations
@@ -73,12 +75,13 @@ def minimal_profile(net: Network) -> StrategyProfile:
 def covering_profile(net: Network) -> StrategyProfile:
     """The profile producing ``net`` in which every player interconnects
     each added non-player pair she covers."""
-    pairs = net.added_nonplayer_edges()
+    pairs = [e for e in net.added_edges if not net.is_player(e[0])]
+    reach = {i: set(net.neighbours(i)) for i in net.players}
     return StrategyProfile(
         tuple(
             PlayerStrategy(
-                frozenset(net.neighbours(i)),
-                frozenset(e for e in pairs if i in net.common_player_neighbours(*e)),
+                frozenset(reach[i]),
+                frozenset((j, l) for j, l in pairs if j in reach[i] and l in reach[i]),
             )
             for i in net.players
         )

@@ -36,7 +36,7 @@ from hidenet.analytics import (
     monotonicity_check,
     strength_equivalences,
 )
-from hidenet.detection import detect_infiltration, detect_network, predict_equilibrium_shape
+from hidenet.detection import detect_infiltration
 from hidenet.model import utilities_from_edges
 
 from conftest import complete_edges
@@ -195,7 +195,8 @@ def test_criterion_07_structural_law_suites():
         n = game.num_players
         fgs = enumerate_feasible_graphs(game, m, e0)
         # utility monotonicity with equality characterisation over NS pairs
-        ns = fgs.nash_masks(1)
+        nash = fgs.nash_flags(1)
+        ns = [int(t) for t in fgs.masks if nash[t]]
         sets = {mask: fgs.edges_of(mask) for mask in ns}
         pairs = [(a, b) for a, b in itertools.permutations(ns, 2) if sets[b] < sets[a]]
         for a, b in rng.sample(pairs, min(len(pairs), 120)):
@@ -283,7 +284,8 @@ def test_criterion_08_formula_checks(fig2_game, example5_game):
         den = rng.choice([1, 2, 3])
         game = GameSpec([F(rng.randint(0, 8 * den), den) for _ in range(n)])
         fgs = enumerate_feasible_graphs(game, m)
-        worst_ns = min(fgs.utilities(mask).sw for mask in fgs.nash_masks(1))
+        nash = fgs.nash_flags(1)
+        worst_ns = min(fgs.utilities(int(t)).sw for t in fgs.masks if nash[t])
         assert max_social_welfare(game, m)[0] - worst_ns <= additive_bound(game, m)
     report(8, "optimum formula == oracle, price cases reproduced, additive bound holds")
 
@@ -328,10 +330,10 @@ def test_criterion_10_detection(fig2_game, fig3_game, example1):
         games.append((GameSpec([F(rng.randint(0, 8 * den), den) for _ in range(n)]), m))
     closed = 0
     for game, m in games:
-        predicted = predict_equilibrium_shape(game, m)
+        predicted = greatest_closed_form(game, m).predicted
         if not predicted.edges:
             continue
-        assert detect_network(predicted, slack=0).matches_signature
+        assert detect_infiltration(predicted.num_nodes, predicted.edges, slack=0).matches_signature
         closed += 1
     assert closed >= 3
     report(10, f"prior 1/32 with exact suspects; loop closed on {closed} nontrivial shapes")

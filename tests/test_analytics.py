@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -231,6 +232,24 @@ def test_large_m_examples(example1):
     assert not large_m_check(GameSpec((F(2), F(2))), 2)
 
 
+def test_large_m_closed_forms_are_the_complete_graph():
+    # m > max alpha: every player meets the greatest form's threshold and
+    # none the least form's, so both forms are the complete graph, E0 or not
+    rng = random.Random(0x1A4)
+    with_e0 = 0
+    for _ in range(60):
+        n, m, den = rng.randint(2, 5), rng.randint(1, 6), rng.choice([1, 2, 3, 7])
+        game = GameSpec([F(rng.randrange(m * den), den) for _ in range(n)])
+        nonplayers = range(n + 1, n + m + 1)
+        e0 = [p for p in itertools.combinations(nonplayers, 2) if rng.random() < 0.4]
+        with_e0 += bool(e0)
+        complete = frozenset(complete_edges(n + m))
+        assert large_m_check(game, m)
+        assert greatest_closed_form(game, m, e0).predicted.edges == complete
+        assert least_closed_form(game, m, e0).predicted.edges == complete
+    assert with_e0 > 20
+
+
 # -- oracle-backed efficiency ----------------------------------------------------
 
 
@@ -274,6 +293,17 @@ def test_monotonicity_equality_characterisation():
     g = build_network(2, 0, [])
     rep = monotonicity_check(f, g, game)
     assert rep.all_equal and rep.conditions_hold and rep.consistent
+
+
+def test_monotonicity_player_to_nonplayer_edge_off_alpha():
+    # the extra edge 1-3 closes on deg(3) = 1, not alpha_1 = 0: player 1
+    # gains, so the equality conditions fail, as the report says
+    game = GameSpec((F(0), F(100)))
+    f = build_network(2, 1, [(1, 3)])
+    g = build_network(2, 1, [])
+    rep = monotonicity_check(f, g, game)
+    assert rep.deltas == (1, 0)
+    assert not rep.conditions_hold and not rep.all_equal and rep.consistent
 
 
 def test_monotonicity_requires_strict_inclusion(fig2_game):

@@ -120,6 +120,17 @@ def test_characterize_efficiency_witness_keeps_the_original_edges(tmp_path, alph
     assert not {(j, l) for j, l, _ in witness["sustainers"]} & set(e0)
 
 
+def test_characterize_general_class():
+    code, out = run("characterize", "--game", fx("fig3.game"))
+    assert code == 0
+    payload = json.loads(out)["report"]
+    assert payload["class"] == "general"
+    assert set(payload) == {"greatest", "least", "large_m", "class"}
+    assert payload["greatest"]["clique_members"] == [1, 2, 3, 4, 5]
+    assert payload["least"]["clique_members"] == []
+    assert payload["large_m"] is False
+
+
 def test_detect_command():
     code, out = run("detect", "--graph", fx("observed.graph"), "--beta", "5/2", "--slack", "0")
     assert code == 0
@@ -185,6 +196,16 @@ def test_exit_code_3_on_budget(tmp_path):
         "error: coalition search needs ~2199027449856 moves for k=2, "
         "over the budget of 2000000\n"
     )
+    # past 64 bits the bound prints as 2^N: at k = 170 it has over 4,300
+    # digits, which str() refuses
+    many = tmp_path / "players170.game"
+    many.write_text("\n".join(["[players]"] + [f"{i} 1000" for i in range(1, 171)]) + "\n")
+    for k, bits in (("20", 3276), ("170", 14387)):
+        code, out = run("verify", "--game", str(many), "--k", k)
+        assert code == 3 and out == (
+            f"error: coalition search needs ~2^{bits} moves for k={k}, "
+            "over the budget of 2000000\n"
+        )
 
 
 def test_out_flag_writes_file(tmp_path):

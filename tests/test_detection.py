@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -9,16 +10,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from hidenet import GameSpec, ValidationError
+from hidenet import BudgetExceededError, GameSpec, ValidationError, detection
 from hidenet.detection import (
     DEFAULT_BETA,
     _clique_prior,
     _integer_root,
     detect_infiltration,
-    detect_network,
-    predict_equilibrium_shape,
 )
 from hidenet.analytics import greatest_closed_form
+from hidenet.lattice import greatest_pans
 
 from conftest import complete_edges
 
@@ -92,28 +92,48 @@ def test_prior_is_exact_on_large_perfect_powers(beta, root):
         assert type(prior) is float and 0 <= prior < 1
 
 
+def _predicted(game, m):
+    """The state fully informed hiders coordinate on: the greatest PANS."""
+    return greatest_closed_form(game, m).predicted
+
+
 def test_prediction_examples(fig2_game, example1):
-    assert predict_equilibrium_shape(fig2_game, 0).edges == frozenset(complete_edges(4))
+    assert _predicted(fig2_game, 0).edges == frozenset(complete_edges(4))
     _, game1 = example1
-    assert predict_equilibrium_shape(game1, 3).edges == frozenset(complete_edges(5))
+    assert _predicted(game1, 3).edges == frozenset(complete_edges(5))
     shy = GameSpec((F(9), F(9)))
-    assert predict_equilibrium_shape(shy, 0).edges == frozenset()
+    assert _predicted(shy, 0).edges == frozenset()
 
 
 def test_prediction_matches_closed_form(fig3_game):
-    assert (
-        predict_equilibrium_shape(fig3_game, 0).edges
-        == greatest_closed_form(fig3_game, 0).predicted.edges
-    )
+    # the closed form's shape is the state the greatest fixpoint reaches
+    assert _predicted(fig3_game, 0).edges == greatest_pans(fig3_game, 0).edges
 
 
 def test_detection_loop_closure(fig2_game, fig3_game, example1):
     _, game1 = example1
     for game, m in ((fig2_game, 0), (fig3_game, 0), (game1, 3)):
-        predicted = predict_equilibrium_shape(game, m)
+        predicted = _predicted(game, m)
         if not predicted.edges:
             continue
-        assert detect_network(predicted).matches_signature
+        assert detect_infiltration(predicted.num_nodes, predicted.edges).matches_signature
+
+
+def test_detection_imports_only_errors_and_model():
+    # the observer needs no game, so none of the solver stack
+    tree = ast.parse(pathlib.Path(detection.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    local = {node.module for node in imports if node.level}
+    assert local == {"errors", "model"}
+
+
+def test_node_limit_is_checked_before_any_per_node_table(monkeypatch):
+    monkeypatch.setattr(detection, "MAX_NODES", 5)
+    assert detect_infiltration(5, [(1, 2)]).clique == frozenset({1, 2})
+    with pytest.raises(BudgetExceededError, match="6 nodes exceeds the detection limit of 5"):
+        detect_infiltration(6, [(1, 2)])
+    with pytest.raises(BudgetExceededError, match=r"2\^16610 nodes"):
+        detect_infiltration(10**5000, [(1, 2)])
 
 
 def test_partition_covers_all_nodes():
@@ -173,3 +193,21 @@ def test_detect_on_200000_nodes_exits_0_within_seconds(tmp_path):
     report = json.loads(proc.stdout)["report"]
     assert report["clique"] == [1, 2] and report["edits_needed"] == 0
     assert len(report["isolated"]) == 199998
+
+
+def test_detect_over_the_node_limit_exits_3_with_an_error(tmp_path):
+    # a table over 10^12 nodes cannot fit: under the address-space limit it
+    # would end in MemoryError (exit 1), without it in the OOM killer
+    plain = tmp_path / "huge.graph"
+    plain.write_text("[nodes]\n1000000000000\n[edges]\n1 2\n")
+    src = pathlib.Path(__file__).parents[1] / "src"
+    argv = [sys.executable, "-m", "hidenet.cli", "detect", "--graph", str(plain)]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "error: a plain graph of 1000000000000 nodes exceeds the detection limit "
+        "of 10000000 nodes\n"
+    )

@@ -173,9 +173,10 @@ def test_every_state_the_fixpoints_step_through_is_validated(monkeypatch):
     seen = []
 
     def check(net):
-        added = net.added_nonplayer_edges()
+        added = {e for e in net.added_edges if not net.is_player(e[0])}
         assert set(net.sustainers) == added
-        assert all(net.sustainers[e] in net.common_player_neighbours(*e) for e in added)
+        for (j, l), k in net.sustainers.items():
+            assert net.is_player(k) and k in net.neighbours(j) and k in net.neighbours(l)
         seen.append(len(added))
 
     for name, finder in list(stability.CONDITIONS.items()):

@@ -1,10 +1,10 @@
 """The coalition search's building blocks against literal references.
 
 On every feasible state of seeded instances, the two choice generators are
-held to a binary counter over their sorted positions, and ``closure`` to a
-covering scan over every non-player pair.  The instances include states
-with E0 pairs and with two or more non-player pairs outside E0, so that
-both of ``closure``'s paths run.
+held to a binary counter over their sorted positions, and the function
+``closure(net)`` returns to a covering scan over every non-player pair.
+The instances include states with E0 pairs and with two or more
+non-player pairs outside E0, so that both of ``closure``'s paths run.
 """
 
 import itertools
@@ -93,6 +93,7 @@ def test_choices_and_closure_match_their_references():
         free = space.m * (space.m - 1) // 2 - len(space.e0)
         for mask in map(int, space.masks):
             net = space.network(mask)
+            close = closure(net)
             states_by_free[free] = states_by_free.get(free, 0) + 1
             with_e0 += bool(net.original_edges)
             for size in (1, 2):
@@ -104,7 +105,7 @@ def test_choices_and_closure_match_their_references():
                     assert set(additions) == {c for c in choices if c >= _incident(net)}
                     for adjacency in rng.sample(choices, min(4, len(choices))):
                         want = reference_closure(net, coalition, adjacency)
-                        assert closure(net, coalition, adjacency) == want
+                        assert close(coalition, adjacency) == want
                         closed += 1
     assert states_by_free == {0: 680, 1: 46, 2: 548} and with_e0 == 1092
     assert closed > 20000

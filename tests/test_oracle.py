@@ -154,6 +154,12 @@ def test_utilities_table_matches_model(example1):
     assert fgs.utilities(mask) == utility(net, game)
 
 
+def test_mask_of_refuses_an_edge_outside_the_instance(fig2_game):
+    fgs = enumerate_feasible_graphs(fig2_game, 0)
+    with pytest.raises(ValidationError, match=r"edge \(4, 5\) outside this instance"):
+        fgs.mask_of(frozenset({(1, 2), (4, 5)}))
+
+
 def test_cross_validate_fig2(fig2_game):
     report = cross_validate(fig2_game, 0, max_k=2)
     assert report.clean

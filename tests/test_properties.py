@@ -179,7 +179,8 @@ def test_utility_monotone_along_stable_inclusions():
     )
     for game, m, e0 in instances:
         fgs = enumerate_feasible_graphs(game, m, e0)
-        ns = [int(t) for t in fgs.nash_masks(1)]
+        nash = fgs.nash_flags(1)
+        ns = [int(t) for t in fgs.masks if nash[t]]
         sets = {mask: fgs.edges_of(mask) for mask in ns}
         for a, b in itertools.permutations(ns, 2):
             if sets[b] < sets[a]:
@@ -276,9 +277,10 @@ def test_hypothesis_utilities_ignore_attribution(n, m, data):
         return
     game = GameSpec([F(1, 2)] * n)
     base = utility(net, game)
-    nonplayer_pairs = sorted(net.added_nonplayer_edges())
+    nonplayer_pairs = sorted(e for e in net.added_edges if not net.is_player(e[0]))
     for e in nonplayer_pairs:
-        for k in net.common_player_neighbours(*e):
+        common = set(net.neighbours(e[0])) & set(net.neighbours(e[1]))
+        for k in sorted(v for v in common if net.is_player(v)):
             relabeled = build_network(n, m, net.edges, sustainers={e: k})
             assert utility(relabeled, game) == base
 

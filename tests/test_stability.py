@@ -13,7 +13,6 @@ from hidenet import (
     check_one_distinct,
     is_k_nash,
     is_k_strong,
-    is_nash_stable,
     is_pane,
     join_pans,
     max_included_pans,
@@ -116,7 +115,6 @@ def test_nash_without_pairwise(example2_game):
     empty = build_network(2, 0, [])
     assert is_k_nash(empty, game, 1).stable
     assert not is_k_strong(empty, game, 1).stable
-    assert is_nash_stable(empty, game).stable
 
 
 def test_pairwise_subsumed_for_k2(fig2_game):
@@ -203,10 +201,11 @@ def _fraction_first_move(net, game, k, choices):
         return utilities_from_edges(net.num_players, net.num_nodes, edges, game.alphas)
 
     base = utilities(net.edges)
+    close = closure(net)
     for size in range(1, min(k, net.num_players) + 1):
         for coalition in itertools.combinations(net.players, size):
             for adjacency in choices(net, coalition):
-                new_edges = closure(net, coalition, adjacency)
+                new_edges = close(coalition, adjacency)
                 if new_edges == net.edges:
                     continue
                 after = utilities(new_edges)

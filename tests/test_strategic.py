@@ -1,9 +1,10 @@
 """The move convention against the game played in literal strategies.
 
-Every route in hidenet moves on graphs by ``moves.closure``.  Here, on
-sampled feasible states of seeded games, each player (and each pair of
-players) searches its literal strategies instead, and the result is
-compared with the coalition search's answer for that coalition.
+Every route in hidenet moves on graphs by the closing function
+``moves.closure(net)`` returns.  Here, on sampled feasible states of seeded
+games, each player (and each pair of players) searches its literal
+strategies instead, and the result is compared with the coalition
+search's answer for that coalition.
 
 The convention reads a graph as its covering profile: players connect
 along its edges and every player interconnects each added pair she covers.
