@@ -18,6 +18,7 @@ The package works on graphs; the game's literal strategy layer lives in
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,11 +67,22 @@ def original_edge_set(
     return pairs if isinstance(pairs, frozenset) and pairs == e0 else e0
 
 
+# Fraction expands a decimal exponent into that many digits (1e100000000
+# takes minutes), and a value past 4,300 digits cannot be printed anyway.
+_EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def as_fraction(value) -> Fraction:
     """Exact conversion; accepts Fraction, int, or strings like '3/2' / '1.1'."""
     if isinstance(value, float):
         raise ValidationError(
             f"refusing float alpha {value!r}: pass a string or Fraction for exactness"
+        )
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    digits = exponent.group(1).replace("_", "") if exponent else ""
+    if len(digits) > 5 or int(digits or 0) > 10_000:
+        raise ValidationError(
+            f"bad rational {value!r}: its decimal exponent exceeds 10000 in size"
         )
     try:
         return Fraction(value)

@@ -3,14 +3,14 @@
 Every subset of candidate edges (all pairs outside E0) is a potential
 state; a subset is feasible when each added non-player edge has a player
 adjacent to both endpoints.  One ``FeasibleGraphSet`` holds the tables of
-an instance and answers every question about them: degrees and q_i times
-each player's utility are precomputed for every subset as integer tables,
-so stability and welfare questions reduce to exact integer comparisons
-(alpha_i = p_i / q_i is cross-multiplied, never evaluated in floating
-point).  Inputs whose tables could leave int64 are rejected up front.  A
-coalition's deviations are scored for many masks at once, one numpy block
-per coalition; blocking pairs are found by one integer test, for all masks
-or for some.
+an instance and answers every question about them.  Its one table of
+utilities holds q_i times each player's utility for every subset as an
+integer, so stability and welfare questions reduce to exact integer
+comparisons (alpha_i = p_i / q_i is cross-multiplied, never evaluated in
+floating point).  Inputs whose table could leave int64 are rejected up
+front.  A coalition's deviations are scored for many masks at once, one
+numpy block per coalition; a blocking pair is scored by looking up both
+players' utilities with its link added, for all player pairs at once.
 
 ``enumerate_feasible_graphs`` keeps the last instance's space alive until
 an instance with other alphas, non-player count, original edges or budget
@@ -18,10 +18,12 @@ asks for one, so the oracle-backed calls on one instance (``efficiency``,
 ``strength_equivalences``, ``enumerate_lattice``, ``max_social_welfare``,
 ``cross_validate``, ``exhaustive_stability``) build its tables, classify
 it and lay out each coalition's moves once.  The shared arrays are
-read-only.  With C candidate edges, the tables take 8 bytes per mask for
-each node and each player, 8 * 2^C * (2n + m + 2) bytes.  The budget
-bounds C, the pairs outside E0, so the default of 18 admits a space of
-24 to 30 MB (C = 15 takes about 4 MB).
+read-only.  With C candidate edges, the utility table takes 8 * 2^C *
+(n + 1) bytes, and the feasible masks and their flags at most 9 * 2^C
+more.  The budget bounds C, the pairs outside E0, so the default of 18
+admits a space of about 13 MB at four players (C = 15 at five players
+takes about 2 MB).  A budget error, or a space the machine cannot
+allocate, states that byte count.
 
 The deviation semantics mirror ``moves.py`` but are re-implemented on the
 bitmask representation: the two routes share nothing except the model
@@ -38,7 +40,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -91,14 +93,22 @@ def candidate_edge_count(num_players: int, num_nonplayers: int) -> int:
     return n * (n - 1) // 2 + n * m + m * (m - 1) // 2
 
 
+def _covered(masks: np.ndarray, patterns: Iterable[int]) -> np.ndarray:
+    """Per mask, whether it holds every bit of one of ``patterns``."""
+    covered = np.zeros(masks.shape, dtype=bool)
+    for pattern in patterns:
+        covered |= (masks & pattern) == pattern
+    return covered
+
+
 class FeasibleGraphSet:
     """All feasible states of one instance as bitmask tables, with their
     stability classification and welfare.
 
-    ``masks`` lists the feasible masks ascending; the per-mask tables
-    (``deg``, ``qu``, ``feasible`` and the flags) range over all 2^C masks.
-    Every array the space holds is read-only, since callers of
-    ``enumerate_feasible_graphs`` share one space.
+    ``masks`` lists the feasible masks ascending; ``qu``, ``feasible`` and
+    the flags range over all 2^C masks.  Every array the space holds is
+    read-only, since callers of ``enumerate_feasible_graphs`` share one
+    space.
     """
 
     def __init__(self, game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()):
@@ -106,12 +116,17 @@ class FeasibleGraphSet:
         self.e0 = original_edge_set(n, m, original_edges)
         # exact: the validated E0 pairs are distinct non-player pairs in range
         limit, count = edge_budget(), candidate_edge_count(n, m) - len(self.e0)
+        # bytes per mask: q_i * u_i per player, the feasible mask and its flag;
+        # spell the powers of two out only while they are short to compute and print
+        per_mask = 8 * (n + 2) + 1
+        if count <= 64:
+            held, graphs = f"up to {per_mask << count} bytes", f"2^{count} = {1 << count}"
+        else:
+            held, graphs = f"up to {per_mask} * 2^{count} bytes", f"2^{count}"
         if count > limit:
-            # spell 2^count out only while it is short to compute and print
-            graphs = f"2^{count} = {1 << count}" if count <= 64 else f"2^{count}"
             raise BudgetExceededError(
-                f"{count} candidate edges exceed the oracle budget of {limit} "
-                f"({graphs} graphs)"
+                f"{count} candidate edges, whose tables take {held}, exceed the "
+                f"oracle budget of {limit} ({graphs} graphs)"
             )
         nodes = n + m
         for i, a in enumerate(game.alphas, start=1):
@@ -124,12 +139,40 @@ class FeasibleGraphSet:
         cand = [edge(i, j) for i, j in itertools.combinations(range(1, n + m + 1), 2)]
         self.cand = [e for e in cand if e not in self.e0]
         self.pos = {e: t for t, e in enumerate(self.cand)}
-        self.np_pairs = [e for e in self.cand if e[0] > n and e[1] > n]
-        self.size = 1 << len(self.cand)
-        every = np.arange(self.size, dtype=np.int64)
+        # each candidate non-player pair's bit, with the pattern of the two
+        # edges by which each player in turn covers it
+        bit = {e: 1 << t for e, t in self.pos.items()}
+        self._covers = [
+            (bit[(j, l)], [bit[edge(i, j)] | bit[edge(i, l)] for i in range(1, n + 1)])
+            for j, l in self.cand
+            if j > n
+        ]
+        # the player links, lexicographic, as the rows of ``_blocking_pairs``
+        self.links = list(itertools.combinations(range(1, n + 1), 2))
+        self._link_ends = np.array(self.links, dtype=np.int64).T[..., None]
+        self._link_bits = np.array([[bit[p]] for p in self.links], dtype=np.int64)
+        try:
+            self.feasible, self.qu = self._tables()
+        except MemoryError:
+            raise BudgetExceededError(
+                f"the oracle's tables for {count} candidate edges, {held}, do not fit in memory"
+            ) from None
+        self.masks = np.flatnonzero(self.feasible).astype(np.int64)
+        for table in (self.feasible, self.masks, self.qu, self._link_ends, self._link_bits):
+            table.setflags(write=False)
+        self._nash_cache: dict[int, np.ndarray] = {}
+        self._plans: dict[tuple[int, ...], tuple] = {}
 
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Over all 2^C masks: the feasibility flags, and q_i * u_i as one
+        row per player."""
+        n, m = self.n, self.m
+        every = np.arange(1 << len(self.cand), dtype=np.int64)
+        feasible = np.ones(len(every), dtype=bool)
+        for pair_bit, patterns in self._covers:
+            feasible &= ((every & pair_bit) == 0) | _covered(every, patterns)
         # one row per node, so that every update below is contiguous
-        deg = np.zeros((n + m + 1, self.size), dtype=np.int64)
+        deg = np.zeros((n + m + 1, len(every)), dtype=np.int64)
         for t, (a, b) in enumerate(self.cand):
             bit = (every >> t) & 1
             deg[a] += bit
@@ -137,39 +180,13 @@ class FeasibleGraphSet:
         for a, b in self.e0:
             deg[a] += 1
             deg[b] += 1
-        self.deg = deg
-
-        S = np.zeros((n + 1, self.size), dtype=np.int64)
-        for t, (a, b) in enumerate(self.cand):
-            bit = (every >> t) & 1
-            if a <= n:
-                S[a] += bit * deg[b]
-            if b <= n:
-                S[b] += bit * deg[a]
-
-        feasible = np.ones(self.size, dtype=bool)
-        for j, l in self.np_pairs:
-            present = ((every >> self.pos[(j, l)]) & 1).astype(bool)
-            cover = np.zeros(self.size, dtype=bool)
-            for i in range(1, n + 1):
-                bi = ((every >> self.pos[edge(i, j)]) & 1).astype(bool)
-                bl = ((every >> self.pos[edge(i, l)]) & 1).astype(bool)
-                cover |= bi & bl
-            feasible &= ~present | cover
-        self.feasible = feasible
-        self.masks = np.flatnonzero(feasible).astype(np.int64)
-
-        self.p = np.array([0] + [a.numerator for a in game.alphas], dtype=np.int64)
-        self.q = np.array([1] + [a.denominator for a in game.alphas], dtype=np.int64)
-        # qu[i, mask] = q_i * u_i(mask) = q_i * S_i - p_i * deg_i, one row per player
-        self.qu = np.zeros((n + 1, self.size), dtype=np.int64)
-        for i in range(1, n + 1):
-            self.qu[i] = self.q[i] * S[i] - self.p[i] * deg[i]
-        for table in (self.deg, self.feasible, self.masks, self.p, self.q, self.qu):
-            table.setflags(write=False)
-        self._nash_cache: dict[int, np.ndarray] = {}
-        self._pairwise: Optional[np.ndarray] = None
-        self._plans: dict[tuple[int, ...], tuple] = {}
+        # q_i * u_i = q_i * S_i - p_i * deg_i, S_i the degree sum of i's neighbours
+        qu = np.zeros((n + 1, len(every)), dtype=np.int64)
+        for i, a in enumerate(self.game.alphas, start=1):
+            others = (j for j in range(1, n + m + 1) if j != i)
+            S = sum(((every >> self.pos[edge(i, j)]) & 1) * deg[j] for j in others)
+            qu[i] = a.denominator * S - a.numerator * deg[i]
+        return feasible, qu
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -194,10 +211,8 @@ class FeasibleGraphSet:
         return build_network(self.n, self.m, self.edges_of(mask), self.e0)
 
     def utilities(self, mask: int) -> UtilityVector:
-        per = tuple(
-            Fraction(int(self.qu[i, mask]), int(self.q[i])) for i in range(1, self.n + 1)
-        )
-        return UtilityVector(per)
+        per = zip(self.qu[1:, mask], self.game.alphas)
+        return UtilityVector(tuple(Fraction(int(qu), a.denominator) for qu, a in per))
 
     # -- stability ------------------------------------------------------------
 
@@ -231,20 +246,11 @@ class FeasibleGraphSet:
         for idx, t in enumerate(free + outside):
             choices |= ((counters >> idx) & 1) << t
             clear |= 1 << t
-
-        def cover(i: int, j: int, l: int) -> int:
-            return 1 << self.pos[edge(i, j)] | 1 << self.pos[edge(i, l)]
-
         kept = []
-        for j, l in self.np_pairs:
-            t = self.pos[(j, l)]
-            clear |= 1 << t
-            covered = np.zeros(len(choices), dtype=bool)
-            for i in coalition:
-                pattern = cover(i, j, l)
-                covered |= (choices & pattern) == pattern
-            choices |= covered.astype(np.int64) << t
-            kept.append((1 << t, [cover(i, j, l) for i in range(1, n + 1) if i not in members]))
+        for pair_bit, patterns in self._covers:
+            clear |= pair_bit
+            choices |= _covered(choices, [patterns[i - 1] for i in coalition]) * pair_bit
+            kept.append((pair_bit, [c for i, c in enumerate(patterns, 1) if i not in members]))
         choices.setflags(write=False)
         plan = clear, sum(1 << t for t in outside), choices, kept
         self._plans[coalition] = plan
@@ -263,10 +269,7 @@ class FeasibleGraphSet:
         clear, outside, choices, kept = self._move_plan(coalition)
         base = masks & ~clear
         for pair_bit, patterns in kept:
-            covered = np.zeros(len(masks), dtype=bool)
-            for pattern in patterns:
-                covered |= (masks & pattern) == pattern
-            base |= (masks & pair_bit) * covered
+            base |= (masks & pair_bit) * _covered(masks, patterns)
         allowed = masks | ~outside
         found = np.full(len(masks), -1, dtype=np.int64)
         rows = max(1, _BLOCK_ELEMENTS // len(choices))
@@ -286,23 +289,14 @@ class FeasibleGraphSet:
             found[lo + rows_hit] = moves[rows_hit, hit[rows_hit].argmax(axis=1)]
         return found
 
-    def _blocking_pairs(
-        self, masks: Optional[np.ndarray] = None
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield each player pair's bit, in lexicographic order, with whether
-        the pair blocks at ``masks`` (all 2^C by default): it is missing, and
-        both players weakly gain, one strictly.  The gains are compared on
-        integers, q_i * (deg_j + 1) against p_i."""
-        if masks is None:
-            masks, deg = np.arange(self.size, dtype=np.int64), self.deg
-        else:
-            deg = self.deg[:, masks]
-        for i, j in itertools.combinations(range(1, self.n + 1), 2):
-            t = self.pos[edge(i, j)]
-            gi = self.q[i] * (deg[j] + 1) - self.p[i]
-            gj = self.q[j] * (deg[i] + 1) - self.p[j]
-            absent = ((masks >> t) & 1) == 0
-            yield t, absent & (gi >= 0) & (gj >= 0) & ((gi > 0) | (gj > 0))
+    def _blocking_pairs(self, masks: np.ndarray) -> np.ndarray:
+        """(links x masks): whether the player pair ``links[r]`` blocks at
+        the mask.  Adding a player link changes no cover, so the pair's move
+        is ``mask | bit``, and it blocks when both players' ``qu`` weakly
+        rise there, one strictly.  A present link leaves the mask unchanged,
+        so it never blocks."""
+        gains = self.qu[self._link_ends, masks | self._link_bits] - self.qu[self._link_ends, masks]
+        return (gains >= 0).all(axis=0) & (gains > 0).any(axis=0)
 
     def nash_flags(self, k: int) -> np.ndarray:
         """Boolean array over all masks: feasible, and no improving coalition
@@ -320,18 +314,10 @@ class FeasibleGraphSet:
         self._nash_cache[k] = flags
         return flags
 
-    def pairwise_flags(self) -> np.ndarray:
-        """Boolean array over all masks: no missing player pair blocks."""
-        if self._pairwise is None:
-            flags = np.ones(self.size, dtype=bool)
-            for _, blocking in self._blocking_pairs():
-                flags &= ~blocking
-            flags.setflags(write=False)
-            self._pairwise = flags
-        return self._pairwise
-
     def pans_masks(self, k: int = 1) -> list[int]:
-        return [int(t) for t in np.flatnonzero(self.nash_flags(k) & self.pairwise_flags())]
+        """The masks ``nash_flags(k)`` keeps at which no player pair blocks."""
+        live = np.flatnonzero(self.nash_flags(k))
+        return [int(t) for t in live[~self._blocking_pairs(live).any(axis=0)]]
 
     # -- welfare --------------------------------------------------------------
 
@@ -384,9 +370,10 @@ def exhaustive_stability(net: Network, game: GameSpec, k: int) -> StabilityVerdi
             if hit >= 0:
                 move = make_move(net, game, list(coalition), fgs.edges_of(hit))
                 return StabilityVerdict(False, label, k, move)
-    pair = next((t for t, blocking in fgs._blocking_pairs(one) if blocking[0]), None)
-    if pair is not None:
-        move = make_move(net, game, list(fgs.cand[pair]), fgs.edges_of(mask | 1 << pair))
+    blocking = np.flatnonzero(fgs._blocking_pairs(one)[:, 0])
+    if len(blocking):
+        pair = fgs.links[blocking[0]]
+        move = make_move(net, game, list(pair), fgs.edges_of(mask | 1 << fgs.pos[pair]))
         return StabilityVerdict(False, label, k, move)
     return StabilityVerdict(True, label, k)
 

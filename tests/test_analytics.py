@@ -206,6 +206,20 @@ def test_one_distinct_efficiency_examples():
     assert rep2.poa == rep2.pos == 1  # 0/0 convention
 
 
+@pytest.mark.parametrize(
+    "alphas, message",
+    [
+        ((F(1, 2), F(1, 4), F(1, 2)), "players 2..n must share one alpha"),
+        ((F(1, 2), F(1), F(1)), "the shared alpha of players 2..n must be below 1"),
+        ((F(1, 2), F(3, 2), F(3, 2)), "the shared alpha of players 2..n must be below 1"),
+    ],
+    ids=["unequal", "shared-one", "shared-above-one"],
+)
+def test_one_distinct_efficiency_refuses_a_game_outside_its_class(alphas, message):
+    with pytest.raises(ValidationError, match=message):
+        one_distinct_efficiency(GameSpec(alphas), 1)
+
+
 def test_one_distinct_efficiency_matches_oracle():
     for a1 in (F(1, 2), F(2), F(3), F(9, 2)):
         game = GameSpec((a1, F(1, 4), F(1, 4)))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -14,6 +15,7 @@ from hidenet import DeviationMove, GameSpec, build_network, greatest_pans, is_k_
 from hidenet.cli import main, run_command
 from hidenet.gamefile import serialize_game, serialize_graph
 from hidenet.oracle import FeasibleGraphSet, candidate_edge_count
+from hidenet.reports import rational_str
 from hidenet.stability import CONDITIONS
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -259,6 +261,30 @@ def test_a_value_too_long_to_print_exits_2(argv):
     code, out = run(*argv)
     assert code == 2
     assert out.startswith("error:") and len(out) < 200
+
+
+@pytest.mark.parametrize("value", ["1e100000000", "1E+1_0000_0000", "-1e-100000000"])
+def test_a_huge_decimal_exponent_exits_2_within_seconds(tmp_path, value):
+    # Fraction would expand the exponent into 10^8 digits, which takes minutes
+    game = tmp_path / "exponent.game"
+    game.write_text(f"[players]\n1 {value}\n2 1\n")
+    for argv in (
+        ["verify", "--game", str(game)],
+        ["detect", "--graph", fx("observed.graph"), f"--beta={value}"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hidenet.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=10,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "decimal exponent" in proc.stderr
+        assert value in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_rational_str_refuses_an_inexact_float():
+    assert rational_str(math.inf) == "inf" and rational_str(F(3, 2)) == "3/2"
+    with pytest.raises(ValueError, match="inexact float 1.5"):
+        rational_str(1.5)
 
 
 def test_reports_are_byte_identical_across_runs():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from hidenet import GameSpec, ValidationError, build_network, utility
-from hidenet.model import edge, sole_covered_pairs, utilities_from_edges
+from hidenet.model import as_fraction, edge, sole_covered_pairs, utilities_from_edges
 from hidenet.oracle import enumerate_feasible_graphs
 
 from conftest import complete_edges, random_instance
@@ -55,6 +55,31 @@ def test_alpha_count_mismatch(example1):
 def test_float_alpha_rejected():
     with pytest.raises(ValidationError, match="float"):
         GameSpec((1.5, 1.5))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1e10000", F(10) ** 10000), ("-1E-10000", -F(1, 10**10000)), ("2.5e00000000001", F(25))],
+)
+def test_a_decimal_exponent_up_to_the_bound_parses(value, expected):
+    assert as_fraction(value) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1e10001", "1E+1_0001", "-2.5e-10001", "1e" + "9" * 5000],
+    ids=["past", "underscores", "negative", "5000-digits"],
+)
+def test_a_decimal_exponent_past_the_bound_is_refused_before_expanding(value):
+    with pytest.raises(ValidationError, match="decimal exponent exceeds 10000 in size"):
+        as_fraction(value)
+
+
+def test_build_network_refuses_too_few_players_or_negative_non_players():
+    with pytest.raises(ValidationError, match="need at least 2 players, got 1"):
+        build_network(1, 0)
+    with pytest.raises(ValidationError, match="negative non-player count"):
+        build_network(2, -1)
 
 
 @pytest.mark.parametrize(
@@ -295,6 +320,7 @@ REMOVED = (
     "stability.is_nash_stable",
     "moves._closer",
     "oracle.FeasibleGraphSet.nash_masks",
+    "oracle.FeasibleGraphSet.pairwise_flags",
     "model.Network.added_nonplayer_edges",
     "model.Network.common_player_neighbours",
     "fixpoint.OpCounter.tick",

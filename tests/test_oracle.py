@@ -1,6 +1,7 @@
 import os
 import pathlib
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -89,6 +90,38 @@ def test_budget_refuses_a_huge_instance_before_listing_its_pairs():
     # 5 * 10^11 node pairs: listing them, or printing 2^count, would not finish
     with pytest.raises(BudgetExceededError, match=r"\(2\^500001500001 graphs\)$"):
         oracle.FeasibleGraphSet(GameSpec([1, 1]), 10**6)
+
+
+def test_a_budget_error_states_the_bytes_the_space_would_hold(monkeypatch, fig2_game):
+    # every one of fig2's 64 states is feasible, so the stated bound is met
+    fgs = enumerate_feasible_graphs(fig2_game, 0)
+    held = sum(table.nbytes for table in (fgs.qu, fgs.feasible, fgs.masks))
+    monkeypatch.setenv("HIDENET_ORACLE_BUDGET", "5")
+    with pytest.raises(BudgetExceededError, match=f"whose tables take up to {held} bytes,"):
+        oracle.FeasibleGraphSet(fig2_game, 0)
+    with pytest.raises(BudgetExceededError, match=r"up to 33 \* 2\^500001500001 bytes"):
+        oracle.FeasibleGraphSet(GameSpec([1, 1]), 10**6)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+
+def test_a_space_the_machine_cannot_allocate_exits_3_with_its_size(tmp_path):
+    # 2^28 states: the mask range alone takes 2 GiB, past the 1.5 GiB limit
+    game = tmp_path / "c28.game"
+    game.write_text("[players]\n1 1\n2 2\n3 3/2\n[nonplayers]\n4 5 6 7 8\n")
+    src = pathlib.Path(__file__).parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hidenet.cli", "enumerate", "--game", str(game)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(src), "HIDENET_ORACLE_BUDGET": "30"},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "error: the oracle's tables for 28 candidate edges, up to 11005853696 bytes, "
+        "do not fit in memory\n"
+    )
 
 
 def test_budget_env_override(monkeypatch, fig2_game):
@@ -262,7 +295,7 @@ def test_a_second_instance_evicts_the_first(monkeypatch, fig2_game, example5_gam
 
 def test_shared_arrays_are_read_only(fig2_game):
     fgs = enumerate_feasible_graphs(fig2_game, 0)
-    shared = [fgs.deg, fgs.qu, fgs.feasible, fgs.masks, fgs.pairwise_flags()]
+    shared = [fgs.qu, fgs.feasible, fgs.masks]
     shared += [fgs.nash_flags(k) for k in range(1, fgs.n + 1)]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -273,10 +306,12 @@ def test_shared_arrays_are_read_only(fig2_game):
 def test_one_mask_blocking_pairs_match_the_whole_table():
     for game, m, e0 in _kernel_instances():
         fgs = enumerate_feasible_graphs(game, m, e0)
-        whole = [(t, blocking) for t, blocking in fgs._blocking_pairs()]
-        for mask in map(int, fgs.masks):
+        whole = fgs._blocking_pairs(fgs.masks)
+        assert whole.shape == (len(fgs.links), len(fgs))
+        for c, mask in enumerate(fgs.masks):
             one = fgs._blocking_pairs(np.array([mask], dtype=np.int64))
-            assert [(t, bool(b[0])) for t, b in one] == [(t, bool(b[mask])) for t, b in whole]
+            assert one.shape == (len(fgs.links), 1)
+            assert (one[:, 0] == whole[:, c]).all()
 
 
 def test_cross_validate_reports_an_element_that_fails_is_pane(monkeypatch, fig2_game):
