@@ -69,7 +69,7 @@ def original_edge_set(
 
 # Fraction expands a decimal exponent into that many digits (1e100000000
 # takes minutes), and a value past 4,300 digits cannot be printed anyway.
-_EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]+)\s*\Z", re.IGNORECASE)
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def as_fraction(value) -> Fraction:
@@ -79,7 +79,7 @@ def as_fraction(value) -> Fraction:
             f"refusing float alpha {value!r}: pass a string or Fraction for exactness"
         )
     exponent = _EXPONENT.search(value) if isinstance(value, str) else None
-    digits = exponent.group(1).replace("_", "") if exponent else ""
+    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
     if len(digits) > 5 or int(digits or 0) > 10_000:
         raise ValidationError(
             f"bad rational {value!r}: its decimal exponent exceeds 10000 in size"

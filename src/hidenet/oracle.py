@@ -22,8 +22,8 @@ read-only.  With C candidate edges, the utility table takes 8 * 2^C *
 (n + 1) bytes, and the feasible masks and their flags at most 9 * 2^C
 more.  The budget bounds C, the pairs outside E0, so the default of 18
 admits a space of about 13 MB at four players (C = 15 at five players
-takes about 2 MB).  A budget error, or a space the machine cannot
-allocate, states that byte count.
+takes about 2 MB); its build peaks at some three times that.  The
+errors for a space too large state the bytes the space keeps.
 
 The deviation semantics mirror ``moves.py`` but are re-implemented on the
 bitmask representation: the two routes share nothing except the model
@@ -125,7 +125,7 @@ class FeasibleGraphSet:
             held, graphs = f"up to {per_mask} * 2^{count} bytes", f"2^{count}"
         if count > limit:
             raise BudgetExceededError(
-                f"{count} candidate edges, whose tables take {held}, exceed the "
+                f"{count} candidate edges, whose space keeps {held}, exceed the "
                 f"oracle budget of {limit} ({graphs} graphs)"
             )
         nodes = n + m
@@ -153,11 +153,11 @@ class FeasibleGraphSet:
         self._link_bits = np.array([[bit[p]] for p in self.links], dtype=np.int64)
         try:
             self.feasible, self.qu = self._tables()
+            self.masks = np.flatnonzero(self.feasible)
         except MemoryError:
             raise BudgetExceededError(
-                f"the oracle's tables for {count} candidate edges, {held}, do not fit in memory"
+                f"{count} candidate edges, whose space keeps {held}, do not fit in memory"
             ) from None
-        self.masks = np.flatnonzero(self.feasible).astype(np.int64)
         for table in (self.feasible, self.masks, self.qu, self._link_ends, self._link_bits):
             table.setflags(write=False)
         self._nash_cache: dict[int, np.ndarray] = {}

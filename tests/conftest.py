@@ -1,5 +1,6 @@
 import itertools
 import random
+import resource
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,13 @@ from hidenet import GameSpec, build_network
 
 def complete_edges(num_nodes):
     return [(a, b) for a, b in itertools.combinations(range(1, num_nodes + 1), 2)]
+
+
+def limit_address_space(nbytes):
+    """A ``preexec_fn`` that caps the child's address space at ``nbytes``,
+    so a table too large for it ends in MemoryError, not in the machine's
+    OOM killer."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
 
 
 def relabel_game(perm, game):

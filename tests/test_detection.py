@@ -2,7 +2,6 @@ import ast
 import json
 import os
 import pathlib
-import resource
 import subprocess
 import sys
 import time
@@ -20,7 +19,7 @@ from hidenet.detection import (
 from hidenet.analytics import greatest_closed_form
 from hidenet.lattice import greatest_pans
 
-from conftest import complete_edges
+from conftest import complete_edges, limit_address_space
 
 
 def test_clique_plus_isolated_matches():
@@ -158,10 +157,6 @@ def test_integer_root_is_the_floor_root():
             assert _integer_root(n, d) == _brute_root(n, d) == 1, (n, d)
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-
 @pytest.mark.parametrize("beta", ["2.500000000001", "2.50000000000000000001"])
 def test_detect_with_a_long_decimal_beta_exits_0_within_a_second(beta):
     # beta's denominator is the root's degree; the address-space limit keeps
@@ -172,7 +167,7 @@ def test_detect_with_a_long_decimal_beta_exits_0_within_a_second(beta):
     start = time.perf_counter()
     proc = subprocess.run(
         argv, capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=limit_address_space(2 << 30),
     )
     assert proc.returncode == 0, proc.stderr
     assert time.perf_counter() - start < 1.0
@@ -204,7 +199,7 @@ def test_detect_over_the_node_limit_exits_3_with_an_error(tmp_path):
     argv = [sys.executable, "-m", "hidenet.cli", "detect", "--graph", str(plain)]
     proc = subprocess.run(
         argv, capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=limit_address_space(2 << 30),
     )
     assert proc.returncode == 3
     assert proc.stderr == (

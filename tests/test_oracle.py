@@ -1,7 +1,6 @@
 import os
 import pathlib
 import random
-import resource
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -28,7 +27,7 @@ from hidenet import (
 from hidenet import oracle
 from hidenet.oracle import candidate_edge_count
 
-from conftest import complete_edges, random_instance, replay
+from conftest import complete_edges, limit_address_space, random_instance, replay
 from strategic import improving_coalition_move
 
 
@@ -97,14 +96,10 @@ def test_a_budget_error_states_the_bytes_the_space_would_hold(monkeypatch, fig2_
     fgs = enumerate_feasible_graphs(fig2_game, 0)
     held = sum(table.nbytes for table in (fgs.qu, fgs.feasible, fgs.masks))
     monkeypatch.setenv("HIDENET_ORACLE_BUDGET", "5")
-    with pytest.raises(BudgetExceededError, match=f"whose tables take up to {held} bytes,"):
+    with pytest.raises(BudgetExceededError, match=f"whose space keeps up to {held} bytes,"):
         oracle.FeasibleGraphSet(fig2_game, 0)
     with pytest.raises(BudgetExceededError, match=r"up to 33 \* 2\^500001500001 bytes"):
         oracle.FeasibleGraphSet(GameSpec([1, 1]), 10**6)
-
-
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
 
 
 def test_a_space_the_machine_cannot_allocate_exits_3_with_its_size(tmp_path):
@@ -114,12 +109,14 @@ def test_a_space_the_machine_cannot_allocate_exits_3_with_its_size(tmp_path):
     src = pathlib.Path(__file__).parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "hidenet.cli", "enumerate", "--game", str(game)],
-        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
-        env={**os.environ, "PYTHONPATH": str(src), "HIDENET_ORACLE_BUDGET": "30"},
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space(3 << 29),
+        # one BLAS thread, so that importing numpy reserves no per-core buffers
+        env={**os.environ, "PYTHONPATH": str(src), "HIDENET_ORACLE_BUDGET": "30",
+             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == (
-        "error: the oracle's tables for 28 candidate edges, up to 11005853696 bytes, "
+        "error: 28 candidate edges, whose space keeps up to 11005853696 bytes, "
         "do not fit in memory\n"
     )
 
