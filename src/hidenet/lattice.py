@@ -3,7 +3,8 @@
 The stable graphs of an instance form a non-empty lattice under edge
 inclusion; the least element grows out of the original graph, the
 greatest shrinks out of the complete graph, and join/meet run the same
-fixpoints from the union/intersection of two stable states.
+fixpoints from the union/intersection of two stable states, except where
+one contains the other: that union or intersection is one of the states.
 ``enumerate_lattice`` materialises the whole k-strong lattice via the
 oracle and re-verifies the lattice axioms on it.
 """
@@ -49,9 +50,31 @@ def join_pans(game: GameSpec, net_s: Network, net_t: Network) -> Network:
     return _join(game, net_s, net_t)
 
 
+def _comparable(net_s: Network, net_t: Network) -> bool:
+    """Whether two states of one instance are ordered by inclusion, so that
+    their union and intersection are the two operands themselves.
+
+    Both callers of ``_join`` and ``_meet``, ``join_pans``/``meet_pans``
+    (through ``_require_pans``) and ``bound_failures``, have just run
+    ``is_pane`` on both operands.  A fixpoint's entry check and its sweep
+    call the same ``stability.CONDITIONS`` finders on the same edges, so on
+    an operand they find no move and the fixpoint returns the state it was
+    given.  A state of another instance is not that state: its original
+    pairs would be added pairs here."""
+    return (
+        net_s.num_nonplayers == net_t.num_nonplayers
+        and net_s.original_edges == net_t.original_edges
+        and (net_s.edges <= net_t.edges or net_t.edges <= net_s.edges)
+    )
+
+
 def _join(game: GameSpec, net_s: Network, net_t: Network) -> Network:
-    """``join_pans`` on operands already known to be stable."""
+    """``join_pans`` on operands already known to be stable.  When one
+    contains the other, the union is returned without the growth, which
+    could apply no move (``_comparable``)."""
     merged = net_s.with_edges(net_s.edges | net_t.edges)
+    if _comparable(net_s, net_t):
+        return merged
     return min_including_pans(merged, game)
 
 
@@ -63,9 +86,13 @@ def meet_pans(game: GameSpec, net_s: Network, net_t: Network) -> Network:
 
 
 def _meet(game: GameSpec, net_s: Network, net_t: Network) -> Network:
-    """``meet_pans`` on operands already known to be stable."""
-    # a pair added in both operands can lose every covering player here
+    """``meet_pans`` on operands already known to be stable.  When one
+    contains the other, the intersection is returned without the shrink,
+    which could apply no move (``_comparable``)."""
     common = net_s.edges & net_t.edges
+    if _comparable(net_s, net_t):
+        return net_s.with_edges(common)
+    # a pair added in both operands can lose every covering player here
     uncovered = {
         (j, l) for j, l in common - net_s.original_edges
         if j > net_s.num_players

@@ -16,14 +16,25 @@ players' utilities with its link added, for all player pairs at once.
 an instance with other alphas, non-player count, original edges or budget
 asks for one, so the oracle-backed calls on one instance (``efficiency``,
 ``strength_equivalences``, ``enumerate_lattice``, ``max_social_welfare``,
-``cross_validate``, ``exhaustive_stability``) build its tables, classify
-it and lay out each coalition's moves once.  The shared arrays are
-read-only.  With C candidate edges, the utility table takes 8 * 2^C *
-(n + 1) bytes, and the feasible masks and their flags at most 9 * 2^C
-more.  The budget bounds C, the pairs outside E0, so the default of 18
-admits a space of about 13 MB at four players (C = 15 at five players
-takes about 2 MB); its build peaks at some three times that.  The
-errors for a space too large state the bytes the space keeps.
+``cross_validate``, ``exhaustive_stability``) build its table once, and
+the space keeps its answers: ``nash_flags(k)``, ``pans_masks(k)`` and
+``max_welfare()`` each compute once.  What does not depend on the alphas
+is laid out once per shape (n, m, E0) and shared by every game of that
+shape: the candidate edges and their bits, the cover list, the
+feasibility flags, the feasible masks and each coalition's move plan.
+``_layout`` keeps the last eight shapes' layouts; a space adds only its
+utility table.  Every shared array is read-only.  With C candidate edges,
+the utility table takes 8 * 2^C * (n + 1) bytes, and the feasible masks
+and their flags at most 9 * 2^C more.  The budget bounds C, the pairs
+outside E0, so the default of 18 admits a space of about 13 MB at four
+players (C = 15 at five players takes about 2 MB); its build allocates at
+most about 1.5 times that (a tracemalloc peak of 18.6 MiB against the
+12.25 MiB kept, at C = 18), since degrees take one byte each there.  At
+C = 18 a layout holds 2.4 MB, and 5.6 MB once every coalition's plan is
+built (four players, three non-players whose three pairs are original,
+the largest shape the default budget admits), so the eight layouts
+cached hold at most about 45 MB.  The errors for a space too large state
+the bytes the space keeps.
 
 The deviation semantics mirror ``moves.py`` but are re-implemented on the
 bitmask representation: the two routes share nothing except the model
@@ -40,7 +51,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -101,43 +112,18 @@ def _covered(masks: np.ndarray, patterns: Iterable[int]) -> np.ndarray:
     return covered
 
 
-class FeasibleGraphSet:
-    """All feasible states of one instance as bitmask tables, with their
-    stability classification and welfare.
+class _Layout:
+    """The part of a space that depends on its shape (n, m, E0) alone, not
+    on the alphas: the candidate edges and their bit positions, the cover
+    list, the player links, the feasibility flags, the feasible masks, and
+    each coalition's move plan, built on first use.  ``_layout`` shares one
+    per shape between the spaces of every game of that shape, so its arrays
+    are read-only."""
 
-    ``masks`` lists the feasible masks ascending; ``qu``, ``feasible`` and
-    the flags range over all 2^C masks.  Every array the space holds is
-    read-only, since callers of ``enumerate_feasible_graphs`` share one
-    space.
-    """
-
-    def __init__(self, game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()):
-        n, m = game.num_players, num_nonplayers
-        self.e0 = original_edge_set(n, m, original_edges)
-        # exact: the validated E0 pairs are distinct non-player pairs in range
-        limit, count = edge_budget(), candidate_edge_count(n, m) - len(self.e0)
-        # bytes per mask: q_i * u_i per player, the feasible mask and its flag;
-        # spell the powers of two out only while they are short to compute and print
-        per_mask = 8 * (n + 2) + 1
-        if count <= 64:
-            held, graphs = f"up to {per_mask << count} bytes", f"2^{count} = {1 << count}"
-        else:
-            held, graphs = f"up to {per_mask} * 2^{count} bytes", f"2^{count}"
-        if count > limit:
-            raise BudgetExceededError(
-                f"{count} candidate edges, whose space keeps {held}, exceed the "
-                f"oracle budget of {limit} ({graphs} graphs)"
-            )
-        nodes = n + m
-        for i, a in enumerate(game.alphas, start=1):
-            _require_int64(
-                a.denominator * nodes**2 + a.numerator * nodes,
-                f"the scaled utility bound of player {i}",
-            )
-        self.game = game
+    def __init__(self, n: int, m: int, e0: frozenset[Edge]):
         self.n, self.m = n, m
         cand = [edge(i, j) for i, j in itertools.combinations(range(1, n + m + 1), 2)]
-        self.cand = [e for e in cand if e not in self.e0]
+        self.cand = [e for e in cand if e not in e0]
         self.pos = {e: t for t, e in enumerate(self.cand)}
         # each candidate non-player pair's bit, with the pattern of the two
         # edges by which each player in turn covers it
@@ -151,72 +137,16 @@ class FeasibleGraphSet:
         self.links = list(itertools.combinations(range(1, n + 1), 2))
         self._link_ends = np.array(self.links, dtype=np.int64).T[..., None]
         self._link_bits = np.array([[bit[p]] for p in self.links], dtype=np.int64)
-        try:
-            self.feasible, self.qu = self._tables()
-            self.masks = np.flatnonzero(self.feasible)
-        except MemoryError:
-            raise BudgetExceededError(
-                f"{count} candidate edges, whose space keeps {held}, do not fit in memory"
-            ) from None
-        for table in (self.feasible, self.masks, self.qu, self._link_ends, self._link_bits):
+        every = np.arange(1 << len(self.cand), dtype=np.int64)
+        self.feasible = np.ones(len(every), dtype=bool)
+        for pair_bit, patterns in self._covers:
+            self.feasible &= ((every & pair_bit) == 0) | _covered(every, patterns)
+        self.masks = np.flatnonzero(self.feasible)
+        for table in (self.feasible, self.masks, self._link_ends, self._link_bits):
             table.setflags(write=False)
-        self._nash_cache: dict[int, np.ndarray] = {}
         self._plans: dict[tuple[int, ...], tuple] = {}
 
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Over all 2^C masks: the feasibility flags, and q_i * u_i as one
-        row per player."""
-        n, m = self.n, self.m
-        every = np.arange(1 << len(self.cand), dtype=np.int64)
-        feasible = np.ones(len(every), dtype=bool)
-        for pair_bit, patterns in self._covers:
-            feasible &= ((every & pair_bit) == 0) | _covered(every, patterns)
-        # one row per node, so that every update below is contiguous
-        deg = np.zeros((n + m + 1, len(every)), dtype=np.int64)
-        for t, (a, b) in enumerate(self.cand):
-            bit = (every >> t) & 1
-            deg[a] += bit
-            deg[b] += bit
-        for a, b in self.e0:
-            deg[a] += 1
-            deg[b] += 1
-        # q_i * u_i = q_i * S_i - p_i * deg_i, S_i the degree sum of i's neighbours
-        qu = np.zeros((n + 1, len(every)), dtype=np.int64)
-        for i, a in enumerate(self.game.alphas, start=1):
-            others = (j for j in range(1, n + m + 1) if j != i)
-            S = sum(((every >> self.pos[edge(i, j)]) & 1) * deg[j] for j in others)
-            qu[i] = a.denominator * S - a.numerator * deg[i]
-        return feasible, qu
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    # -- mask/edge translation ------------------------------------------------
-
-    def mask_of(self, edges: frozenset[Edge]) -> int:
-        mask = 0
-        for e in edges - self.e0:
-            try:
-                mask |= 1 << self.pos[e]
-            except KeyError:
-                raise ValidationError(f"edge {e} outside this instance") from None
-        return mask
-
-    def edges_of(self, mask: int) -> frozenset[Edge]:
-        return frozenset(
-            e for t, e in enumerate(self.cand) if mask >> t & 1
-        ) | self.e0
-
-    def network(self, mask: int) -> Network:
-        return build_network(self.n, self.m, self.edges_of(mask), self.e0)
-
-    def utilities(self, mask: int) -> UtilityVector:
-        per = zip(self.qu[1:, mask], self.game.alphas)
-        return UtilityVector(tuple(Fraction(int(qu), a.denominator) for qu, a in per))
-
-    # -- stability ------------------------------------------------------------
-
-    def _move_plan(self, coalition: tuple[int, ...]) -> tuple:
+    def move_plan(self, coalition: tuple[int, ...]) -> tuple:
         """Bit layout of a coalition's moves, built once per coalition:
         (clear, outside, choices, kept).
 
@@ -256,6 +186,114 @@ class FeasibleGraphSet:
         self._plans[coalition] = plan
         return plan
 
+
+class FeasibleGraphSet:
+    """All feasible states of one instance as bitmask tables, with their
+    stability classification and welfare.
+
+    ``masks`` lists the feasible masks ascending; ``qu``, ``feasible`` and
+    the flags range over all 2^C masks.  The alpha-free tables (``cand``,
+    ``pos``, ``links``, ``feasible``, ``masks``) are the shape's shared
+    ``layout``; the space adds ``qu`` and keeps its answers.  Every array
+    the space holds is read-only, since callers of
+    ``enumerate_feasible_graphs`` share one space.
+    """
+
+    def __init__(self, game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()):
+        n, m = game.num_players, num_nonplayers
+        self.e0 = original_edge_set(n, m, original_edges)
+        # exact: the validated E0 pairs are distinct non-player pairs in range
+        limit, count = edge_budget(), candidate_edge_count(n, m) - len(self.e0)
+        # bytes per mask: q_i * u_i per player, the feasible mask and its flag;
+        # spell the powers of two out only while they are short to compute and print
+        per_mask = 8 * (n + 2) + 1
+        if count <= 64:
+            held, graphs = f"up to {per_mask << count} bytes", f"2^{count} = {1 << count}"
+        else:
+            held, graphs = f"up to {per_mask} * 2^{count} bytes", f"2^{count}"
+        if count > limit:
+            raise BudgetExceededError(
+                f"{count} candidate edges, whose space keeps {held}, exceed the "
+                f"oracle budget of {limit} ({graphs} graphs)"
+            )
+        nodes = n + m
+        for i, a in enumerate(game.alphas, start=1):
+            _require_int64(
+                a.denominator * nodes**2 + a.numerator * nodes,
+                f"the scaled utility bound of player {i}",
+            )
+        self.game = game
+        self.n, self.m = n, m
+        try:
+            self.layout = _layout(n, m, self.e0)
+            self.qu = self._table()
+        except MemoryError:
+            raise BudgetExceededError(
+                f"{count} candidate edges, whose space keeps {held}, do not fit in memory"
+            ) from None
+        self.qu.setflags(write=False)
+        self.cand, self.pos, self.links = self.layout.cand, self.layout.pos, self.layout.links
+        self.feasible, self.masks = self.layout.feasible, self.layout.masks
+        self._nash_cache: dict[int, np.ndarray] = {}
+        self._pans_cache: dict[int, tuple[int, ...]] = {}
+        self._welfare: Optional[tuple[Fraction, Network]] = None
+
+    def _table(self) -> np.ndarray:
+        """q_i * u_i over all 2^C masks, one row per player."""
+        n, m, layout = self.n, self.m, self.layout
+        every = np.arange(1 << len(layout.cand), dtype=np.int64)
+        # one row per node, so that every update below is contiguous.  A
+        # degree is at most n + m - 1, which is at most C, and masks that fit
+        # in int64 have C < 64, so a byte holds it; each row is cast to int64
+        # before it meets an alpha, where a uint8 product would wrap or raise.
+        deg = np.zeros((n + m + 1, len(every)), dtype=np.uint8)
+        for t, (a, b) in enumerate(layout.cand):
+            bit = ((every >> t) & 1).astype(np.uint8)
+            deg[a] += bit
+            deg[b] += bit
+        for a, b in self.e0:
+            deg[a] += 1
+            deg[b] += 1
+        # q_i * u_i = q_i * S_i - p_i * deg_i, S_i the degree sum of i's
+        # neighbours, summed in place in i's row
+        qu = np.zeros((n + 1, len(every)), dtype=np.int64)
+        for i, a in enumerate(self.game.alphas, start=1):
+            row = qu[i]
+            for j in range(1, n + m + 1):
+                if j != i:
+                    row += ((every >> layout.pos[edge(i, j)]) & 1) * deg[j]
+            row *= a.denominator
+            row -= a.numerator * deg[i].astype(np.int64)
+        return qu
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    # -- mask/edge translation ------------------------------------------------
+
+    def mask_of(self, edges: frozenset[Edge]) -> int:
+        mask = 0
+        for e in edges - self.e0:
+            try:
+                mask |= 1 << self.pos[e]
+            except KeyError:
+                raise ValidationError(f"edge {e} outside this instance") from None
+        return mask
+
+    def edges_of(self, mask: int) -> frozenset[Edge]:
+        return frozenset(
+            e for t, e in enumerate(self.cand) if mask >> t & 1
+        ) | self.e0
+
+    def network(self, mask: int) -> Network:
+        return build_network(self.n, self.m, self.edges_of(mask), self.e0)
+
+    def utilities(self, mask: int) -> UtilityVector:
+        per = zip(self.qu[1:, mask], self.game.alphas)
+        return UtilityVector(tuple(Fraction(int(qu), a.denominator) for qu, a in per))
+
+    # -- stability ------------------------------------------------------------
+
     def first_improving_moves(self, masks: np.ndarray, coalition: tuple[int, ...]) -> np.ndarray:
         """Per mask, the coalition's first improving move in counter order
         (closure applied), or -1 where it has none.
@@ -266,7 +304,7 @@ class FeasibleGraphSet:
         block holds at most ``_BLOCK_ELEMENTS`` moves, or one mask's moves
         where those are more (at most 2^C, which the budget bounds).
         """
-        clear, outside, choices, kept = self._move_plan(coalition)
+        clear, outside, choices, kept = self.layout.move_plan(coalition)
         base = masks & ~clear
         for pair_bit, patterns in kept:
             base |= (masks & pair_bit) * _covered(masks, patterns)
@@ -295,7 +333,8 @@ class FeasibleGraphSet:
         is ``mask | bit``, and it blocks when both players' ``qu`` weakly
         rise there, one strictly.  A present link leaves the mask unchanged,
         so it never blocks."""
-        gains = self.qu[self._link_ends, masks | self._link_bits] - self.qu[self._link_ends, masks]
+        ends, bits = self.layout._link_ends, self.layout._link_bits
+        gains = self.qu[ends, masks | bits] - self.qu[ends, masks]
         return (gains >= 0).all(axis=0) & (gains > 0).any(axis=0)
 
     def nash_flags(self, k: int) -> np.ndarray:
@@ -315,16 +354,22 @@ class FeasibleGraphSet:
         return flags
 
     def pans_masks(self, k: int = 1) -> list[int]:
-        """The masks ``nash_flags(k)`` keeps at which no player pair blocks."""
-        live = np.flatnonzero(self.nash_flags(k))
-        return [int(t) for t in live[~self._blocking_pairs(live).any(axis=0)]]
+        """The masks ``nash_flags(k)`` keeps at which no player pair blocks,
+        as a new list on every call."""
+        if k not in self._pans_cache:
+            live = np.flatnonzero(self.nash_flags(k))
+            pans = live[~self._blocking_pairs(live).any(axis=0)]
+            self._pans_cache[k] = tuple(int(t) for t in pans)
+        return list(self._pans_cache[k])
 
     # -- welfare --------------------------------------------------------------
 
     def max_welfare(self) -> tuple[Fraction, Network]:
         """Exact maximum social welfare over the feasible states, with
         witness, summed as L * welfare = sum_i (L / q_i) * qu_i with L the
-        lcm of the q_i."""
+        lcm of the q_i.  Computed once per space."""
+        if self._welfare is not None:
+            return self._welfare
         alphas = self.game.alphas
         nodes = self.n + self.m
         L = math.lcm(*(a.denominator for a in alphas))
@@ -336,7 +381,15 @@ class FeasibleGraphSet:
         for i, a in enumerate(alphas, start=1):
             swL += L // a.denominator * self.qu[i, self.masks]
         best = int(np.argmax(swL))
-        return Fraction(int(swL[best]), L), self.network(int(self.masks[best]))
+        self._welfare = Fraction(int(swL[best]), L), self.network(int(self.masks[best]))
+        return self._welfare
+
+
+# eight shapes cover a caller that cycles through a few, as the oracle and
+# verify benchmarks do with four each; the module docstring gives the bytes
+@functools.lru_cache(maxsize=8)
+def _layout(n: int, m: int, e0: frozenset[Edge]) -> _Layout:
+    return _Layout(n, m, e0)
 
 
 @functools.lru_cache(maxsize=1)

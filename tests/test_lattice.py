@@ -17,7 +17,9 @@ from hidenet import (
     meet_pans,
 )
 
-from conftest import complete_edges
+from hidenet import fixpoint, lattice, reports
+
+from conftest import complete_edges, random_instance
 
 
 def test_least_examples(fig2_game, example1, example5_game):
@@ -134,3 +136,79 @@ def test_meet_is_the_glb_on_seeded_instances():
                 for j, l in common - a.original_edges if j > a.num_players
             )
     assert uncovered > 0
+
+
+def _seeded_pairs():
+    """(game, a, b) over seeded instances: least with greatest, and every
+    pair of oracle-enumerated stable graphs, in both orders.  The alphas
+    near 3 at (3, 2) give incomparable stable graphs."""
+    rng = random.Random(0xC0B)
+    instances = [random_instance(rng, 3, 2) for _ in range(8)]
+    for _ in range(8):
+        instances.append((GameSpec([F(rng.randint(5, 7), 2) for _ in range(3)]), 2, ()))
+    for game, m, e0 in instances:
+        nets = [least_pans(game, m, e0), greatest_pans(game, m, e0)]
+        fgs = enumerate_feasible_graphs(game, m, e0)
+        nets += [fgs.network(t) for t in fgs.pans_masks(1)]
+        for a, b in itertools.permutations(nets, 2):
+            yield game, a, b
+
+
+def test_comparable_operands_skip_both_fixpoints(monkeypatch):
+    pairs = [
+        (game, a, b) for game, a, b in _seeded_pairs()
+        if a.edges <= b.edges or b.edges <= a.edges
+    ]
+    # the full path: each fixpoint run directly from the union or the intersection
+    expected = [
+        (
+            fixpoint.min_including_pans(a.with_edges(a.edges | b.edges), game),
+            fixpoint.max_included_pans(a.with_edges(a.edges & b.edges), game),
+        )
+        for game, a, b in pairs
+    ]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a fixpoint ran on comparable operands")
+
+    monkeypatch.setattr(lattice, "min_including_pans", refused)
+    monkeypatch.setattr(lattice, "max_included_pans", refused)
+    assert len(pairs) > 100
+    for (game, a, b), (join, meet) in zip(pairs, expected):
+        assert reports.network_dict(join_pans(game, a, b)) == reports.network_dict(join)
+        assert reports.network_dict(meet_pans(game, a, b)) == reports.network_dict(meet)
+        assert lattice.bound_failures(game, [a, b]) == []
+
+
+def test_incomparable_operands_still_run_the_fixpoints(monkeypatch):
+    ran = []
+
+    def counting(name, run_fixpoint):
+        def run(*args, **kwargs):
+            ran.append(name)
+            return run_fixpoint(*args, **kwargs)
+        return run
+
+    grow, shrink = lattice.min_including_pans, lattice.max_included_pans
+    monkeypatch.setattr(lattice, "min_including_pans", counting("grow", grow))
+    monkeypatch.setattr(lattice, "max_included_pans", counting("shrink", shrink))
+    incomparable = 0
+    for game, a, b in _seeded_pairs():
+        if a.edges <= b.edges or b.edges <= a.edges:
+            continue
+        incomparable += 1
+        del ran[:]
+        join_pans(game, a, b)
+        meet_pans(game, a, b)
+        assert ran == ["grow", "shrink"]
+    assert incomparable > 10
+
+
+def test_operands_of_two_instances_are_not_taken_as_comparable():
+    # the right operand's original pair (4, 5) is an added pair on the left,
+    # and nothing covers it in the intersection, so the shrink drops it
+    game = GameSpec((F(7, 2), F(2), F(11, 2)))
+    left = build_network(3, 2, [(2, 4), (2, 5), (4, 5)])
+    right = build_network(3, 2, [], [(4, 5)])
+    assert right.edges <= left.edges
+    assert meet_pans(game, left, right).edges == frozenset()

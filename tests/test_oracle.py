@@ -294,10 +294,97 @@ def test_shared_arrays_are_read_only(fig2_game):
     fgs = enumerate_feasible_graphs(fig2_game, 0)
     shared = [fgs.qu, fgs.feasible, fgs.masks]
     shared += [fgs.nash_flags(k) for k in range(1, fgs.n + 1)]
+    layout = fgs.layout
+    shared += [layout.feasible, layout.masks, layout._link_ends, layout._link_bits]
+    shared += [choices for _, _, choices, _ in layout._plans.values()]
+    assert layout._plans
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[..., 0] = 1
     assert fgs.pans_masks(1) == enumerate_feasible_graphs(fig2_game, 0).pans_masks(1)
+
+
+def test_games_of_one_shape_share_one_layout():
+    first = oracle.FeasibleGraphSet(GameSpec((F(1), F(2), F(3))), 2, [(4, 5)])
+    second = oracle.FeasibleGraphSet(GameSpec((F(5, 2), F(0), F(1, 3))), 2, [[5, 4]])
+    assert second.layout is first.layout
+    assert second.cand is first.cand and second.masks is first.masks
+    second.nash_flags(3)
+    plans = first.layout._plans
+    assert len(plans) == 7
+    for coalition, (_, _, choices, _) in plans.items():
+        assert first.layout.move_plan(coalition)[2] is choices
+    without_e0 = oracle.FeasibleGraphSet(GameSpec((F(1), F(2), F(3))), 2)
+    assert without_e0.layout is not first.layout
+
+
+def _answers(space):
+    strengths = range(1, space.n + 1)
+    flags = [space.nash_flags(k).tolist() for k in strengths]
+    sw, witness = space.max_welfare()
+    return flags, [space.pans_masks(k) for k in strengths], sw, witness.edges
+
+
+def test_a_warm_layout_gives_the_answers_of_a_cold_one():
+    rng = random.Random(0x1A70)
+    instances = _kernel_instances() + [
+        (GameSpec([F(rng.randint(0, 12), 2) for _ in range(3)]), 2, e0)
+        for e0 in ((), [(4, 5)], (), [(4, 5)])
+    ]
+    for game, m, e0 in instances:
+        oracle._layout.cache_clear()
+        cold = _answers(oracle.FeasibleGraphSet(game, m, e0))
+        oracle._layout.cache_clear()
+        # another game of the shape builds the layout and every plan first
+        other = GameSpec([F(rng.randint(0, 12), 2) for _ in game.alphas])
+        oracle.FeasibleGraphSet(other, m, e0).nash_flags(game.num_players)
+        warm = oracle.FeasibleGraphSet(game, m, e0)
+        assert oracle._layout.cache_info().currsize == 1
+        assert _answers(warm) == cold
+
+
+def test_a_game_refused_before_its_layout_caches_none(monkeypatch):
+    oracle._layout.cache_clear()
+    with pytest.raises(ValidationError, match="int64"):
+        oracle.FeasibleGraphSet(GameSpec((F(2**62), F(1))), 0)
+    monkeypatch.setenv("HIDENET_ORACLE_BUDGET", "5")
+    with pytest.raises(BudgetExceededError):
+        oracle.FeasibleGraphSet(GameSpec([F(1)] * 4), 0)
+    assert oracle._layout.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("alpha", [F(200, 3), F(255, 7), F(1000, 3)])
+def test_utilities_at_numerators_past_a_byte_match_the_model(alpha):
+    # degrees are stored in one byte each; times these numerators a byte
+    # would wrap (200, 255) or numpy would raise (1000)
+    for n, m, e0 in ((3, 2, ()), (3, 2, [(4, 5)]), (4, 1, ())):
+        game = GameSpec([alpha, F(3, 2)] + [alpha] * (n - 2))
+        fgs = oracle.FeasibleGraphSet(game, m, e0)
+        for mask in map(int, fgs.masks):
+            assert fgs.utilities(mask) == utility(fgs.network(mask), game)
+
+
+def test_pans_masks_hands_out_a_new_list_each_call(fig2_game):
+    fgs = oracle.FeasibleGraphSet(fig2_game, 0)
+    first = fgs.pans_masks(1)
+    kept = list(first)
+    first.reverse()
+    first.append(-1)
+    assert fgs.pans_masks(1) == kept
+    assert fgs.pans_masks(1) is not fgs.pans_masks(1)
+
+
+def test_max_welfare_is_computed_once_per_space(monkeypatch, fig2_game):
+    fgs = oracle.FeasibleGraphSet(fig2_game, 0)
+    first = fgs.max_welfare()
+    assert first[0] == 18
+
+    def no_second_witness(mask):
+        raise AssertionError("max_welfare ran again")
+
+    monkeypatch.setattr(fgs, "network", no_second_witness)
+    assert fgs.max_welfare() is first
+    assert oracle.FeasibleGraphSet(fig2_game, 0).max_welfare() == first
 
 
 def test_one_mask_blocking_pairs_match_the_whole_table():
