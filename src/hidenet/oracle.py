@@ -8,8 +8,9 @@ utilities holds q_i times each player's utility for every subset as an
 integer, so stability and welfare questions reduce to exact integer
 comparisons (alpha_i = p_i / q_i is cross-multiplied, never evaluated in
 floating point).  Inputs whose table could leave int64 are rejected up
-front.  A coalition's deviations are scored for many masks at once, one
-numpy block per coalition; a blocking pair is scored by looking up both
+front.  The coalitions of one size are scored in stacked numpy blocks:
+one coalition over many masks while many are live, many coalitions in one
+call once few masks are left; a blocking pair is scored by looking up both
 players' utilities with its link added, for all player pairs at once.
 
 ``enumerate_feasible_graphs`` keeps the last instance's space alive until
@@ -21,20 +22,25 @@ the space keeps its answers: ``nash_flags(k)``, ``pans_masks(k)`` and
 ``max_welfare()`` each compute once.  What does not depend on the alphas
 is laid out once per shape (n, m, E0) and shared by every game of that
 shape: the candidate edges and their bits, the cover list, the
-feasibility flags, the feasible masks and each coalition's move plan.
-``_layout`` keeps the last eight shapes' layouts; a space adds only its
-utility table.  Every shared array is read-only.  With C candidate edges,
-the utility table takes 8 * 2^C * (n + 1) bytes, and the feasible masks
-and their flags at most 9 * 2^C more.  The budget bounds C, the pairs
-outside E0, so the default of 18 admits a space of about 13 MB at four
-players (C = 15 at five players takes about 2 MB); its build allocates at
-most about 1.5 times that (a tracemalloc peak of 18.6 MiB against the
-12.25 MiB kept, at C = 18), since degrees take one byte each there.  At
-C = 18 a layout holds 2.4 MB, and 5.6 MB once every coalition's plan is
-built (four players, three non-players whose three pairs are original,
-the largest shape the default budget admits), so the eight layouts
-cached hold at most about 45 MB.  The errors for a space too large state
-the bytes the space keeps.
+feasibility flags, the feasible masks, each player's degree and
+neighbour-degree-sum rows, and each strength's move plan.  ``_layout``
+keeps the last eight shapes' layouts; a space adds only its utility
+table, two int64 vector operations per player.  Every shared array is
+read-only.  With C candidate edges, the utility table takes
+8 * 2^C * (n + 1) bytes, the feasible masks and their flags at most
+9 * 2^C more, and the degree rows (a byte a degree) and degree-sum rows
+(two bytes a sum) 3n * 2^C: (11n + 17) * 2^C bytes in all, the figure the
+errors for a space too large state.  The budget bounds C, the pairs
+outside E0, so the default of 18 admits a space of 16.0 MB at four
+players, three non-players whose three pairs are original, the largest
+shape it admits: 10.5 MB of utilities and 5.5 MB of layout (six players,
+C = 15, keep 2.7 MB).  There, building the space on a cold layout peaks
+at 17.3 MiB (tracemalloc) against the 15.25 MiB kept, and on a cached
+layout at 12.1 MiB against the 10 MiB the space adds.  The move plans
+come on top: every strength's takes 3.3 MB at that shape and 4.5 MB at
+six players, so a layout holds at most 8.8 MB (the largest of eight shapes
+measured at C = 15 and 18), and the eight layouts cached at most about
+70 MB.
 
 The deviation semantics mirror ``moves.py`` but are re-implemented on the
 bitmask representation: the two routes share nothing except the model
@@ -73,9 +79,21 @@ from .stability import StabilityVerdict
 
 DEFAULT_EDGE_BUDGET = 18
 _BUDGET_ENV = "HIDENET_ORACLE_BUDGET"
-# Most moves one block of the stability kernel holds; mask rows are chunked to fit.
+# Most moves one block of the stability kernel holds; (coalition, mask) rows
+# are chunked to fit.
 _BLOCK_ELEMENTS = 1 << 16
+# About how many moves one kernel call of ``nash_flags`` scores.  A call costs
+# 13-18 us of numpy overhead whatever its size and 5-11 ns a move, so below
+# some 1,600-3,100 moves the overhead dominates and stacking coalitions pays,
+# while above it each coalition's pruning of the next one's masks saves more
+# (measured at (5,0), (4,1) and (3,2), NumPy 2.4, 2 vCPUs; groups of 2^11 and
+# 2^13 moves scored the ``oracle`` benchmark within its run-to-run spread).
+_GROUP_MOVES = 1 << 12
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Most candidate edges a space can have: 2^60 int64 entries take 2^63 bytes,
+# past the 2^63 - 1 one numpy array can address, and from 64 on a mask no
+# longer fits in int64.
+_MOST_EDGES = 59
 
 
 def _require_int64(bound: int, what: str) -> None:
@@ -112,13 +130,44 @@ def _covered(masks: np.ndarray, patterns: Iterable[int]) -> np.ndarray:
     return covered
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """Every coalition of one size, in ``itertools.combinations`` order,
+    with its moves laid out as the rows of stacked arrays.
+
+    A coalition's moves rewrite the bits of ``~keep`` (every member-incident
+    edge and every candidate non-player pair) and may only delete the bits
+    of ``~allow`` (its edges to outside players).  ``choices[g]`` sets the
+    free positions (member pairs and member-to-non-player edges), then the
+    outside ones, each ascending, by counter, and adds the non-player pairs
+    that members then cover.  Coalitions of one size touch the same number
+    of positions, so every row of ``choices`` has the same length.
+    ``covers[p, :, g]`` holds the patterns by which each player outside
+    coalition ``g`` covers the pair ``pair_bits[p]``: a present pair
+    survives such a cover.
+    """
+
+    coalitions: list[tuple[int, ...]]
+    members: np.ndarray  # (coalitions, size)
+    keep: np.ndarray  # (coalitions,)
+    allow: np.ndarray  # (coalitions,)
+    choices: np.ndarray  # (coalitions, moves)
+    pair_bits: np.ndarray  # (pairs,)
+    covers: np.ndarray  # (pairs, n - size, coalitions)
+
+
 class _Layout:
     """The part of a space that depends on its shape (n, m, E0) alone, not
     on the alphas: the candidate edges and their bit positions, the cover
-    list, the player links, the feasibility flags, the feasible masks, and
-    each coalition's move plan, built on first use.  ``_layout`` shares one
-    per shape between the spaces of every game of that shape, so its arrays
-    are read-only."""
+    list, the player links, the feasibility flags, the feasible masks, each
+    player's degree and neighbour-degree-sum rows, and each strength's
+    ``_Plan``, built on first use.  ``_layout`` shares one per shape between
+    the spaces of every game of that shape, so its arrays are read-only.
+
+    At C = 18 (four players, three non-players whose three pairs are
+    original) a layout holds 5.5 MB, 8.8 MB with every strength's plan; at
+    six players and no non-players (C = 15), 0.9 MB and 5.4 MB.
+    """
 
     def __init__(self, n: int, m: int, e0: frozenset[Edge]):
         self.n, self.m = n, m
@@ -142,25 +191,38 @@ class _Layout:
         for pair_bit, patterns in self._covers:
             self.feasible &= ((every & pair_bit) == 0) | _covered(every, patterns)
         self.masks = np.flatnonzero(self.feasible)
-        for table in (self.feasible, self.masks, self._link_ends, self._link_bits):
+        self.deg, self.sums = self._degrees(every, e0)
+        for table in (self.feasible, self.masks, self._link_ends, self._link_bits,
+                      self.deg, self.sums):
             table.setflags(write=False)
-        self._plans: dict[tuple[int, ...], tuple] = {}
+        self._plans: dict[int, _Plan] = {}
 
-    def move_plan(self, coalition: tuple[int, ...]) -> tuple:
-        """Bit layout of a coalition's moves, built once per coalition:
-        (clear, outside, choices, kept).
+    def _degrees(self, every: np.ndarray, e0: frozenset[Edge]) -> tuple[np.ndarray, np.ndarray]:
+        """Per player i (row i - 1) and mask, deg_i and S_i, the degree sum
+        of i's neighbours.  Every node but player 1 is joined to player 1 by
+        a candidate edge, so a degree is at most n + m - 1 <= C, and a mask
+        fits in int64 only while C < 64: a degree fits in a byte and S_i,
+        below 64^2, in two."""
+        n, m = self.n, self.m
+        deg = np.zeros((n + m + 1, len(every)), dtype=np.uint8)
+        for t, (a, b) in enumerate(self.cand):
+            bit = ((every >> t) & 1).astype(np.uint8)
+            deg[a] += bit
+            deg[b] += bit
+        for a, b in e0:
+            deg[a] += 1
+            deg[b] += 1
+        sums = np.zeros((n, len(every)), dtype=np.uint16)
+        for i in range(1, n + 1):
+            for j in range(1, n + m + 1):
+                if j != i:
+                    sums[i - 1] += ((every >> self.pos[edge(i, j)]) & 1).astype(np.uint8) * deg[j]
+        return deg[1 : n + 1].copy(), sums
 
-        ``clear`` holds every member-incident edge and every candidate
-        non-player pair; the move rewrites them.  Member pairs and
-        member-to-non-player edges are free, edges to outside players
-        (``outside``) are delete only.  ``choices`` sets the free positions,
-        then the outside ones, each ascending, by counter, and adds the
-        non-player pairs that members then cover.  ``kept`` lists each
-        non-player pair's bit with the patterns by which an outside player
-        covers it: a present pair survives such a cover.
-        """
-        if coalition in self._plans:
-            return self._plans[coalition]
+    def coalition_moves(self, coalition: tuple[int, ...]) -> tuple:
+        """One coalition's row of its strength's ``_Plan``: (clear, outside,
+        choices, kept), ``kept`` listing each non-player pair's bit with the
+        patterns by which an outside player covers it."""
         n, m = self.n, self.m
         members = set(coalition)
         free = sorted(
@@ -181,9 +243,31 @@ class _Layout:
             clear |= pair_bit
             choices |= _covered(choices, [patterns[i - 1] for i in coalition]) * pair_bit
             kept.append((pair_bit, [c for i, c in enumerate(patterns, 1) if i not in members]))
-        choices.setflags(write=False)
-        plan = clear, sum(1 << t for t in outside), choices, kept
-        self._plans[coalition] = plan
+        return clear, sum(1 << t for t in outside), choices, kept
+
+    def plan(self, k: int) -> _Plan:
+        """The ``_Plan`` of the coalitions of size k, built once per strength."""
+        if k in self._plans:
+            return self._plans[k]
+        coalitions = list(itertools.combinations(range(1, self.n + 1), k))
+        rows = [self.coalition_moves(c) for c in coalitions]
+        covers = np.zeros((len(self._covers), self.n - k, len(rows)), dtype=np.int64)
+        for g, (_, _, _, kept) in enumerate(rows):
+            for p, (_, patterns) in enumerate(kept):
+                covers[p, :, g] = patterns
+        plan = _Plan(
+            coalitions,
+            np.array(coalitions, dtype=np.int64),
+            ~np.array([clear for clear, _, _, _ in rows], dtype=np.int64),
+            ~np.array([outside for _, outside, _, _ in rows], dtype=np.int64),
+            np.stack([choices for _, _, choices, _ in rows]),
+            np.array([pair_bit for pair_bit, _ in self._covers], dtype=np.int64),
+            covers,
+        )
+        for table in (plan.members, plan.keep, plan.allow, plan.choices, plan.pair_bits,
+                      plan.covers):
+            table.setflags(write=False)
+        self._plans[k] = plan
         return plan
 
 
@@ -196,7 +280,10 @@ class FeasibleGraphSet:
     ``pos``, ``links``, ``feasible``, ``masks``) are the shape's shared
     ``layout``; the space adds ``qu`` and keeps its answers.  Every array
     the space holds is read-only, since callers of
-    ``enumerate_feasible_graphs`` share one space.
+    ``enumerate_feasible_graphs`` share one space.  At C = 18 (four players,
+    three non-players whose three pairs are original) ``qu`` takes 10.5 MB
+    and the space with its layout, plans aside, 16.0 MB, the
+    ``(11n + 17) * 2^C`` bytes its budget errors state.
     """
 
     def __init__(self, game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()):
@@ -204,10 +291,11 @@ class FeasibleGraphSet:
         self.e0 = original_edge_set(n, m, original_edges)
         # exact: the validated E0 pairs are distinct non-player pairs in range
         limit, count = edge_budget(), candidate_edge_count(n, m) - len(self.e0)
-        # bytes per mask: q_i * u_i per player, the feasible mask and its flag;
+        # bytes per mask: q_i * u_i per player, the feasible mask and its flag,
+        # and each player's degree (one byte) and neighbour-degree sum (two);
         # spell the powers of two out only while they are short to compute and print
-        per_mask = 8 * (n + 2) + 1
-        if count <= 64:
+        per_mask = 8 * (n + 2) + 1 + 3 * n
+        if count <= _MOST_EDGES:
             held, graphs = f"up to {per_mask << count} bytes", f"2^{count} = {1 << count}"
         else:
             held, graphs = f"up to {per_mask} * 2^{count} bytes", f"2^{count}"
@@ -216,6 +304,11 @@ class FeasibleGraphSet:
                 f"{count} candidate edges, whose space keeps {held}, exceed the "
                 f"oracle budget of {limit} ({graphs} graphs)"
             )
+        unfit = BudgetExceededError(
+            f"{count} candidate edges, whose space keeps {held}, do not fit in memory"
+        )
+        if count > _MOST_EDGES:
+            raise unfit
         nodes = n + m
         for i, a in enumerate(game.alphas, start=1):
             _require_int64(
@@ -228,9 +321,7 @@ class FeasibleGraphSet:
             self.layout = _layout(n, m, self.e0)
             self.qu = self._table()
         except MemoryError:
-            raise BudgetExceededError(
-                f"{count} candidate edges, whose space keeps {held}, do not fit in memory"
-            ) from None
+            raise unfit from None
         self.qu.setflags(write=False)
         self.cand, self.pos, self.links = self.layout.cand, self.layout.pos, self.layout.links
         self.feasible, self.masks = self.layout.feasible, self.layout.masks
@@ -239,31 +330,15 @@ class FeasibleGraphSet:
         self._welfare: Optional[tuple[Fraction, Network]] = None
 
     def _table(self) -> np.ndarray:
-        """q_i * u_i over all 2^C masks, one row per player."""
-        n, m, layout = self.n, self.m, self.layout
-        every = np.arange(1 << len(layout.cand), dtype=np.int64)
-        # one row per node, so that every update below is contiguous.  A
-        # degree is at most n + m - 1, which is at most C, and masks that fit
-        # in int64 have C < 64, so a byte holds it; each row is cast to int64
-        # before it meets an alpha, where a uint8 product would wrap or raise.
-        deg = np.zeros((n + m + 1, len(every)), dtype=np.uint8)
-        for t, (a, b) in enumerate(layout.cand):
-            bit = ((every >> t) & 1).astype(np.uint8)
-            deg[a] += bit
-            deg[b] += bit
-        for a, b in self.e0:
-            deg[a] += 1
-            deg[b] += 1
-        # q_i * u_i = q_i * S_i - p_i * deg_i, S_i the degree sum of i's
-        # neighbours, summed in place in i's row
-        qu = np.zeros((n + 1, len(every)), dtype=np.int64)
-        for i, a in enumerate(self.game.alphas, start=1):
-            row = qu[i]
-            for j in range(1, n + m + 1):
-                if j != i:
-                    row += ((every >> layout.pos[edge(i, j)]) & 1) * deg[j]
-            row *= a.denominator
-            row -= a.numerator * deg[i].astype(np.int64)
+        """q_i * u_i = q_i * S_i - p_i * deg_i over all 2^C masks, one row
+        per player, from the layout's degree rows.  Each product is taken in
+        int64 (``dtype``), never in the rows' narrow dtypes, where it would
+        wrap or raise, and where NumPy 1 and 2 (NEP 50) promote differently."""
+        layout = self.layout
+        qu = np.zeros((self.n + 1, len(layout.feasible)), dtype=np.int64)
+        for i, (p, q) in enumerate(self.game.ratios, start=1):
+            np.multiply(layout.sums[i - 1], q, out=qu[i], dtype=np.int64)
+            qu[i] -= np.multiply(layout.deg[i - 1], p, dtype=np.int64)
         return qu
 
     def __len__(self) -> int:
@@ -294,38 +369,67 @@ class FeasibleGraphSet:
 
     # -- stability ------------------------------------------------------------
 
-    def first_improving_moves(self, masks: np.ndarray, coalition: tuple[int, ...]) -> np.ndarray:
-        """Per mask, the coalition's first improving move in counter order
-        (closure applied), or -1 where it has none.
+    def first_improving_moves(
+        self, masks: np.ndarray, k: int, start: int = 0, stop: Optional[int] = None
+    ) -> np.ndarray:
+        """(coalitions x masks): for the coalitions of size k from ``start``
+        to ``stop`` in ``itertools.combinations`` order, each one's first
+        improving move at each mask in counter order (closure applied), or
+        -1 where it has none.
 
-        The moves of a mask row are ``base | (choices & (mask | ~outside))``,
-        where ``base`` keeps the edges no member touches and the non-player
-        pairs an outside player still covers.  Rows are chunked so that one
-        block holds at most ``_BLOCK_ELEMENTS`` moves, or one mask's moves
-        where those are more (at most 2^C, which the budget bounds).
+        The moves of coalition g at a mask are ``base | (choices[g] & (mask
+        | allow[g]))``, where ``base`` keeps the edges no member touches and
+        the non-player pairs an outside player still covers.  The (coalition,
+        mask) grid is cut into blocks of at most ``_BLOCK_ELEMENTS`` moves,
+        or one pair's moves where those are more (at most 2^C, which the
+        budget bounds).
         """
-        clear, outside, choices, kept = self.layout.move_plan(coalition)
-        base = masks & ~clear
-        for pair_bit, patterns in kept:
-            base |= (masks & pair_bit) * _covered(masks, patterns)
-        allowed = masks | ~outside
-        found = np.full(len(masks), -1, dtype=np.int64)
-        rows = max(1, _BLOCK_ELEMENTS // len(choices))
-        for lo in range(0, len(masks), rows):
-            span = slice(lo, lo + rows)
-            moves = choices & allowed[span, None]
-            moves |= base[span, None]
-            ok = np.ones(moves.shape, dtype=bool)
-            strict = np.zeros(moves.shape, dtype=bool)
-            for i in coalition:
-                table = self.qu[i]
-                after, before = table[moves], table[masks[span], None]
-                ok &= after >= before
-                strict |= after > before
-            hit = ok & strict
-            rows_hit = np.flatnonzero(hit.any(axis=1))
-            found[lo + rows_hit] = moves[rows_hit, hit[rows_hit].argmax(axis=1)]
+        plan = self.layout.plan(k)
+        group = slice(start, stop)
+        members, choices = plan.members[group], plan.choices[group, None]
+        base = masks & plan.keep[group, None]
+        for pair_bit, patterns in zip(plan.pair_bits, plan.covers):
+            held = np.zeros(base.shape, dtype=bool)
+            for pattern in patterns[:, group, None]:
+                held |= (masks & pattern) == pattern
+            base |= (masks & pair_bit) * held
+        allowed = masks | plan.allow[group, None]
+        found = np.empty(base.shape, dtype=np.int64)
+        # a block spans ``cols`` masks of ``rows`` coalitions: all the masks
+        # and as many coalitions as fit, else as many masks as fit
+        width = choices.shape[2]
+        span = max(1, _BLOCK_ELEMENTS // width)
+        cols = max(1, min(len(masks), span))
+        rows = max(1, span // cols)
+        for lo in range(0, len(members), rows):
+            gs = slice(lo, lo + rows)
+            for col in range(0, len(masks), cols):
+                ls = slice(col, col + cols)
+                moves = choices[gs] & allowed[gs, ls, None]
+                moves |= base[gs, ls, None]
+                for j, player in enumerate(members[gs].T):
+                    after = self._scores(player, moves)
+                    before = self._scores(player, masks[None, ls, None])
+                    if j == 0:
+                        hit, weak = after > before, after >= before if k > 1 else None
+                    else:
+                        hit |= after > before
+                        weak &= after >= before
+                if k > 1:
+                    hit &= weak
+                # the first hit of each (coalition, mask) row, read at its flat index
+                first = hit.argmax(axis=2).ravel()
+                first += np.arange(0, hit.size, width)
+                moved = np.where(hit.ravel()[first], moves.ravel()[first], -1)
+                found[gs, ls] = moved.reshape(hit.shape[:2])
         return found
+
+    def _scores(self, players: np.ndarray, moves: np.ndarray) -> np.ndarray:
+        """``qu[players[g], moves[g]]`` for each coalition row g: one player's
+        row is indexed directly, several through their offsets in flat ``qu``."""
+        if len(players) == 1:
+            return self.qu[players[0]][moves]
+        return self.qu.ravel()[moves + (players * self.qu.shape[1])[:, None, None]]
 
     def _blocking_pairs(self, masks: np.ndarray) -> np.ndarray:
         """(links x masks): whether the player pair ``links[r]`` blocks at
@@ -339,16 +443,24 @@ class FeasibleGraphSet:
 
     def nash_flags(self, k: int) -> np.ndarray:
         """Boolean array over all masks: feasible, and no improving coalition
-        of size <= k."""
+        of size <= k.
+
+        The coalitions of size k are scored in groups against the masks still
+        live, each group sized to about ``_GROUP_MOVES`` moves: one coalition
+        at a time while many masks are live, so each prunes the masks the
+        next one scores, and many in one call once few are left."""
         require_strength(k, self.n)
         if k in self._nash_cache:
             return self._nash_cache[k]
-        flags = (self.nash_flags(k - 1) if k > 1 else self.feasible).copy()
-        for coalition in itertools.combinations(range(1, self.n + 1), k):
-            live = np.flatnonzero(flags)
-            if len(live) == 0:
-                break
-            flags[live[self.first_improving_moves(live, coalition) >= 0]] = False
+        live = np.flatnonzero(self.nash_flags(k - 1) if k > 1 else self.feasible)
+        count, width = self.layout.plan(k).choices.shape
+        start = 0
+        while start < count and len(live):
+            stop = start + max(1, _GROUP_MOVES // (len(live) * width))
+            live = live[(self.first_improving_moves(live, k, start, stop) < 0).all(axis=0)]
+            start = stop
+        flags = np.zeros(len(self.feasible), dtype=bool)
+        flags[live] = True
         flags.setflags(write=False)
         self._nash_cache[k] = flags
         return flags
@@ -418,11 +530,12 @@ def exhaustive_stability(net: Network, game: GameSpec, k: int) -> StabilityVerdi
     label = "PANE" if k == 1 else "k-PANE"
     one = np.array([mask], dtype=np.int64)
     for size in range(1, k + 1):
-        for coalition in itertools.combinations(range(1, net.num_players + 1), size):
-            hit = int(fgs.first_improving_moves(one, coalition)[0])
-            if hit >= 0:
-                move = make_move(net, game, list(coalition), fgs.edges_of(hit))
-                return StabilityVerdict(False, label, k, move)
+        found = fgs.first_improving_moves(one, size)[:, 0]
+        hits = np.flatnonzero(found >= 0)
+        if len(hits):
+            coalition = fgs.layout.plan(size).coalitions[hits[0]]
+            move = make_move(net, game, list(coalition), fgs.edges_of(int(found[hits[0]])))
+            return StabilityVerdict(False, label, k, move)
     blocking = np.flatnonzero(fgs._blocking_pairs(one)[:, 0])
     if len(blocking):
         pair = fgs.links[blocking[0]]

@@ -94,11 +94,12 @@ def test_budget_refuses_a_huge_instance_before_listing_its_pairs():
 def test_a_budget_error_states_the_bytes_the_space_would_hold(monkeypatch, fig2_game):
     # every one of fig2's 64 states is feasible, so the stated bound is met
     fgs = enumerate_feasible_graphs(fig2_game, 0)
-    held = sum(table.nbytes for table in (fgs.qu, fgs.feasible, fgs.masks))
+    layout = fgs.layout
+    held = sum(table.nbytes for table in (fgs.qu, fgs.feasible, fgs.masks, layout.deg, layout.sums))
     monkeypatch.setenv("HIDENET_ORACLE_BUDGET", "5")
     with pytest.raises(BudgetExceededError, match=f"whose space keeps up to {held} bytes,"):
         oracle.FeasibleGraphSet(fig2_game, 0)
-    with pytest.raises(BudgetExceededError, match=r"up to 33 \* 2\^500001500001 bytes"):
+    with pytest.raises(BudgetExceededError, match=r"up to 39 \* 2\^500001500001 bytes"):
         oracle.FeasibleGraphSet(GameSpec([1, 1]), 10**6)
 
 
@@ -116,9 +117,41 @@ def test_a_space_the_machine_cannot_allocate_exits_3_with_its_size(tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == (
-        "error: 28 candidate edges, whose space keeps up to 11005853696 bytes, "
+        "error: 28 candidate edges, whose space keeps up to 13421772800 bytes, "
         "do not fit in memory\n"
     )
+
+
+@pytest.mark.parametrize(
+    "players, nonplayers, e0, message",
+    [(12, 0, (), "66 candidate edges, whose space keeps up to 149 * 2^66 bytes,"),
+     # 2^60 int64 entries take more bytes than numpy can address
+     (2, 10, [(3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9)],
+      "60 candidate edges, whose space keeps up to 39 * 2^60 bytes,")],
+)
+def test_a_space_past_int64_masks_is_refused_before_its_layout(
+    monkeypatch, players, nonplayers, e0, message
+):
+    oracle._layout.cache_clear()
+    monkeypatch.setenv("HIDENET_ORACLE_BUDGET", "100")
+    with pytest.raises(BudgetExceededError) as refused:
+        oracle.FeasibleGraphSet(GameSpec([F(1)] * players), nonplayers, e0)
+    assert str(refused.value) == f"{message} do not fit in memory"
+    assert oracle._layout.cache_info().currsize == 0
+
+
+def test_cli_on_64_or_more_candidate_edges_exits_3(tmp_path):
+    game = tmp_path / "twelve.game"
+    game.write_text("[players]\n" + "".join(f"{i} 1\n" for i in range(1, 13)))
+    src = pathlib.Path(__file__).parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hidenet.cli", "enumerate", "--game", str(game)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "HIDENET_ORACLE_BUDGET": "100"},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: 66 candidate edges")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_budget_env_override(monkeypatch, fig2_game):
@@ -296,8 +329,10 @@ def test_shared_arrays_are_read_only(fig2_game):
     shared += [fgs.nash_flags(k) for k in range(1, fgs.n + 1)]
     layout = fgs.layout
     shared += [layout.feasible, layout.masks, layout._link_ends, layout._link_bits]
-    shared += [choices for _, _, choices, _ in layout._plans.values()]
-    assert layout._plans
+    shared += [layout.deg, layout.sums]
+    for plan in layout._plans.values():
+        shared += [plan.members, plan.keep, plan.allow, plan.choices, plan.pair_bits, plan.covers]
+    assert sorted(layout._plans) == [1, 2, 3, 4]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[..., 0] = 1
@@ -311,9 +346,10 @@ def test_games_of_one_shape_share_one_layout():
     assert second.cand is first.cand and second.masks is first.masks
     second.nash_flags(3)
     plans = first.layout._plans
-    assert len(plans) == 7
-    for coalition, (_, _, choices, _) in plans.items():
-        assert first.layout.move_plan(coalition)[2] is choices
+    assert sorted(plans) == [1, 2, 3]
+    assert sum(len(plan.coalitions) for plan in plans.values()) == 7
+    for k, plan in plans.items():
+        assert first.layout.plan(k) is plan
     without_e0 = oracle.FeasibleGraphSet(GameSpec((F(1), F(2), F(3))), 2)
     assert without_e0.layout is not first.layout
 
@@ -353,13 +389,19 @@ def test_a_game_refused_before_its_layout_caches_none(monkeypatch):
     assert oracle._layout.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("alpha", [F(200, 3), F(255, 7), F(1000, 3)])
+@pytest.mark.parametrize(
+    "alpha", [F(200, 3), F(255, 7), F(1000, 3), F(1, 70001), F(1, 2**30 + 1), F(10**12, 7)]
+)
 def test_utilities_at_numerators_past_a_byte_match_the_model(alpha):
-    # degrees are stored in one byte each; times these numerators a byte
-    # would wrap (200, 255) or numpy would raise (1000)
+    # the layout keeps degrees in one byte each and neighbour-degree sums in
+    # two; times these numerators a byte would wrap (200, 255) or numpy would
+    # raise (1000), and q_i * S_i past 2^16 (70001) or 2^32 (2^30 + 1), or
+    # p_i * deg_i past 2^32 (10^12), wraps, raises or leaves the integers
+    # under either promotion rule
     for n, m, e0 in ((3, 2, ()), (3, 2, [(4, 5)]), (4, 1, ())):
         game = GameSpec([alpha, F(3, 2)] + [alpha] * (n - 2))
         fgs = oracle.FeasibleGraphSet(game, m, e0)
+        assert fgs.qu.dtype == np.int64
         for mask in map(int, fgs.masks):
             assert fgs.utilities(mask) == utility(fgs.network(mask), game)
 
@@ -541,15 +583,77 @@ def test_exhaustive_stability_agrees_and_witnesses_replay():
                     assert replay(net, move).edges == searched
 
 
-def test_nash_flags_do_not_depend_on_the_block_size(monkeypatch):
-    spaces = [enumerate_feasible_graphs(g, m, e0) for g, m, e0 in _kernel_instances()]
-    whole = [[space.nash_flags(k).copy() for k in range(1, space.n + 1)] for space in spaces]
-    witnesses = [space.first_improving_moves(space.masks, (1,)) for space in spaces]
-    # 8 moves a block: every coalition's masks span several blocks, down to
-    # one mask a block for coalitions with more than 8 moves
-    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 8)
-    for space, flags, first in zip(spaces, whole, witnesses):
-        space._nash_cache.clear()
+def _parity_instances():
+    """Seeded games of eight shapes with non-players (m >= 2), original
+    edges and at most 10 candidate edges."""
+    rng = random.Random(0x57AC)
+    out = {}
+    while len(out) < 8:
+        game, m, e0 = random_instance(rng, 3, 3)
+        if m >= 2 and e0 and candidate_edge_count(game.num_players, m) - len(e0) <= 10:
+            out.setdefault((game.num_players, m, tuple(e0)), (game, m, e0))
+    return list(out.values())
+
+
+def _first_moves_per_coalition(space, masks, coalition):
+    """One coalition's first improving move at each mask, or -1: the
+    coalition-by-coalition scoring the stacked kernel replaced, 64 masks at
+    a time."""
+    clear, outside, choices, kept = space.layout.coalition_moves(coalition)
+    players = np.array(coalition)[:, None, None]
+    found = []
+    for lo in range(0, len(masks), 64):
+        rows = masks[lo : lo + 64]
+        base = rows & ~clear
+        for pair_bit, patterns in kept:
+            covered = np.zeros(len(rows), dtype=bool)
+            for pattern in patterns:
+                covered |= (rows & pattern) == pattern
+            base |= (rows & pair_bit) * covered
+        moves = (choices & (rows | ~outside)[:, None]) | base[:, None]
+        after, before = space.qu[players, moves], space.qu[players, rows[:, None]]
+        hit = (after >= before).all(axis=0) & (after > before).any(axis=0)
+        first = moves[np.arange(len(rows)), hit.argmax(axis=1)]
+        found += np.where(hit.any(axis=1), first, -1).tolist()
+    return found
+
+
+def test_the_stacked_kernel_matches_a_per_coalition_reference(monkeypatch):
+    for game, m, e0 in _parity_instances():
+        space = enumerate_feasible_graphs(game, m, e0)
         for k in range(1, space.n + 1):
-            assert np.array_equal(space.nash_flags(k), flags[k - 1])
-        assert np.array_equal(space.first_improving_moves(space.masks, (1,)), first)
+            coalitions = space.layout.plan(k).coalitions
+            want = [_first_moves_per_coalition(space, space.masks, c) for c in coalitions]
+            for block in (8, 100, 1 << 16):
+                monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", block)
+                assert space.first_improving_moves(space.masks, k).tolist() == want
+                for size in (1, 2):
+                    for start in range(0, len(coalitions), size):
+                        got = space.first_improving_moves(space.masks, k, start, start + size)
+                        assert got.tolist() == want[start : start + size]
+
+
+def test_nash_flags_do_not_depend_on_the_block_size(monkeypatch):
+    instances = _kernel_instances() + _parity_instances()
+    spaces = [enumerate_feasible_graphs(g, m, e0) for g, m, e0 in instances]
+    whole = [[space.nash_flags(k).copy() for k in range(1, space.n + 1)] for space in spaces]
+    witnesses = [space.first_improving_moves(space.masks, 1) for space in spaces]
+    # the flags the per-coalition reference gives
+    for space, flags in zip(spaces, whole):
+        stable = space.feasible.copy()
+        for k in range(1, space.n + 1):
+            for coalition in space.layout.plan(k).coalitions:
+                found = np.array(_first_moves_per_coalition(space, space.masks, coalition))
+                stable[space.masks[found >= 0]] = False
+            assert np.array_equal(flags[k - 1], stable)
+    # 8 moves a block: every coalition's masks span several blocks, down to
+    # one mask a block for coalitions with more than 8 moves; groups from one
+    # coalition at a time to every coalition at once
+    for block, group in ((8, 1), (8, 1 << 20), (1000, 64), (1 << 16, 1 << 30)):
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(oracle, "_GROUP_MOVES", group)
+        for space, flags, first in zip(spaces, whole, witnesses):
+            space._nash_cache.clear()
+            for k in range(1, space.n + 1):
+                assert np.array_equal(space.nash_flags(k), flags[k - 1])
+            assert np.array_equal(space.first_improving_moves(space.masks, 1), first)
