@@ -442,7 +442,9 @@ def monotonicity_check(net_f: Network, net_g: Network, game: GameSpec) -> Monoto
     """
     if not net_g.edges < net_f.edges:
         raise PreconditionError("the first network must strictly edge-include the second")
-    if not is_k_nash(net_f, game, 1):
+    # a PANS is Nash stable, so the polynomial check settles most graphs; only
+    # one it rejects, where a blocking pair may be all that fails, needs the search
+    if not is_pane(net_f, game) and not is_k_nash(net_f, game, 1):
         raise PreconditionError("the including network must be Nash stable")
     uf, ug = utility(net_f, game), utility(net_g, game)
     deltas = tuple(uf.of(i) - ug.of(i) for i in net_f.players)

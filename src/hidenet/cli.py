@@ -13,7 +13,8 @@ and with it numpy, is imported only by ``enumerate``, ``efficiency`` and
 ``oracle-check``.
 
 Exit codes: 0 success, 2 validation or precondition failure, 3 oracle or
-coalition-search budget exceeded.  Reports are deterministic given the
+coalition-search budget exceeded, or a command whose work or report does not
+fit in memory.  Reports are deterministic given the
 inputs; JSON is the canonical format and ``--format text`` prints the same
 fields flat.
 """
@@ -135,11 +136,13 @@ def run_command(argv) -> tuple[int, str]:
         return int(exc.code), ""
     try:
         payload = _dispatch(args)
+        rendered = reports.to_json(payload) if args.format == "json" else reports.to_text(payload)
     except BudgetExceededError as exc:
         return 3, f"error: {exc}\n"
+    except MemoryError:
+        return 3, f"error: {args.command} on these inputs does not fit in memory\n"
     except (HidenetError, OSError) as exc:
         return 2, f"error: {exc}\n"
-    rendered = reports.to_json(payload) if args.format == "json" else reports.to_text(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -21,26 +21,15 @@ asks for one, so the oracle-backed calls on one instance (``efficiency``,
 the space keeps its answers: ``nash_flags(k)``, ``pans_masks(k)`` and
 ``max_welfare()`` each compute once.  What does not depend on the alphas
 is laid out once per shape (n, m, E0) and shared by every game of that
-shape: the candidate edges and their bits, the cover list, the
-feasibility flags, the feasible masks, each player's degree and
-neighbour-degree-sum rows, and each strength's move plan.  ``_layout``
-keeps the last eight shapes' layouts; a space adds only its utility
-table, two int64 vector operations per player.  Every shared array is
-read-only.  With C candidate edges, the utility table takes
-8 * 2^C * (n + 1) bytes, the feasible masks and their flags at most
-9 * 2^C more, and the degree rows (a byte a degree) and degree-sum rows
-(two bytes a sum) 3n * 2^C: (11n + 17) * 2^C bytes in all, the figure the
-errors for a space too large state.  The budget bounds C, the pairs
-outside E0, so the default of 18 admits a space of 16.0 MB at four
-players, three non-players whose three pairs are original, the largest
-shape it admits: 10.5 MB of utilities and 5.5 MB of layout (six players,
-C = 15, keep 2.7 MB).  There, building the space on a cold layout peaks
-at 17.3 MiB (tracemalloc) against the 15.25 MiB kept, and on a cached
-layout at 12.1 MiB against the 10 MiB the space adds.  The move plans
-come on top: every strength's takes 3.3 MB at that shape and 4.5 MB at
-six players, so a layout holds at most 8.8 MB (the largest of eight shapes
-measured at C = 15 and 18), and the eight layouts cached at most about
-70 MB.
+shape: the candidate edges and their bits, the cover rule (each candidate
+non-player pair's bit in ``pair_bits`` and the edge patterns by which each
+player covers it in ``patterns``), the feasibility flags, the feasible
+masks, each player's degree and neighbour-degree-sum rows, and each
+strength's move plan.  ``_layout`` keeps the last eight shapes' layouts; a
+space adds only its utility table, two int64 vector operations per player.
+Every shared array is read-only.  The bytes a space keeps, the figure its
+budget errors state, are counted in ``FeasibleGraphSet.__init__``; README
+"Oracle budget" gives them measured.
 
 The deviation semantics mirror ``moves.py`` but are re-implemented on the
 bitmask representation: the two routes share nothing except the model
@@ -122,11 +111,12 @@ def candidate_edge_count(num_players: int, num_nonplayers: int) -> int:
     return n * (n - 1) // 2 + n * m + m * (m - 1) // 2
 
 
-def _covered(masks: np.ndarray, patterns: Iterable[int]) -> np.ndarray:
-    """Per mask, whether it holds every bit of one of ``patterns``."""
+def _covered(masks: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Whether each mask holds every bit of one of ``patterns``, the entries
+    along its first axis, each broadcast against ``masks``."""
     covered = np.zeros(masks.shape, dtype=bool)
     for pattern in patterns:
-        covered |= (masks & pattern) == pattern
+        covered = covered | ((masks & pattern) == pattern)
     return covered
 
 
@@ -143,8 +133,8 @@ class _Plan:
     that members then cover.  Coalitions of one size touch the same number
     of positions, so every row of ``choices`` has the same length.
     ``covers[p, :, g]`` holds the patterns by which each player outside
-    coalition ``g`` covers the pair ``pair_bits[p]``: a present pair
-    survives such a cover.
+    coalition ``g`` covers the layout's pair ``pair_bits[p]``: a present
+    pair survives such a cover.
     """
 
     coalitions: list[tuple[int, ...]]
@@ -152,21 +142,18 @@ class _Plan:
     keep: np.ndarray  # (coalitions,)
     allow: np.ndarray  # (coalitions,)
     choices: np.ndarray  # (coalitions, moves)
-    pair_bits: np.ndarray  # (pairs,)
     covers: np.ndarray  # (pairs, n - size, coalitions)
 
 
 class _Layout:
     """The part of a space that depends on its shape (n, m, E0) alone, not
     on the alphas: the candidate edges and their bit positions, the cover
-    list, the player links, the feasibility flags, the feasible masks, each
+    rule (``pair_bits``, each candidate non-player pair's bit, and
+    ``patterns[p, i - 1]``, the two edges by which player i covers pair p),
+    the player links, the feasibility flags, the feasible masks, each
     player's degree and neighbour-degree-sum rows, and each strength's
     ``_Plan``, built on first use.  ``_layout`` shares one per shape between
     the spaces of every game of that shape, so its arrays are read-only.
-
-    At C = 18 (four players, three non-players whose three pairs are
-    original) a layout holds 5.5 MB, 8.8 MB with every strength's plan; at
-    six players and no non-players (C = 15), 0.9 MB and 5.4 MB.
     """
 
     def __init__(self, n: int, m: int, e0: frozenset[Edge]):
@@ -174,26 +161,25 @@ class _Layout:
         cand = [edge(i, j) for i, j in itertools.combinations(range(1, n + m + 1), 2)]
         self.cand = [e for e in cand if e not in e0]
         self.pos = {e: t for t, e in enumerate(self.cand)}
-        # each candidate non-player pair's bit, with the pattern of the two
-        # edges by which each player in turn covers it
         bit = {e: 1 << t for e, t in self.pos.items()}
-        self._covers = [
-            (bit[(j, l)], [bit[edge(i, j)] | bit[edge(i, l)] for i in range(1, n + 1)])
-            for j, l in self.cand
-            if j > n
-        ]
+        pairs = [(j, l) for j, l in self.cand if j > n]
+        self.pair_bits = np.array([bit[p] for p in pairs], dtype=np.int64)
+        self.patterns = np.array(
+            [[bit[edge(i, j)] | bit[edge(i, l)] for i in range(1, n + 1)] for j, l in pairs],
+            dtype=np.int64,
+        ).reshape(len(pairs), n)
         # the player links, lexicographic, as the rows of ``_blocking_pairs``
         self.links = list(itertools.combinations(range(1, n + 1), 2))
         self._link_ends = np.array(self.links, dtype=np.int64).T[..., None]
         self._link_bits = np.array([[bit[p]] for p in self.links], dtype=np.int64)
         every = np.arange(1 << len(self.cand), dtype=np.int64)
         self.feasible = np.ones(len(every), dtype=bool)
-        for pair_bit, patterns in self._covers:
+        for pair_bit, patterns in zip(self.pair_bits, self.patterns):
             self.feasible &= ((every & pair_bit) == 0) | _covered(every, patterns)
         self.masks = np.flatnonzero(self.feasible)
         self.deg, self.sums = self._degrees(every, e0)
-        for table in (self.feasible, self.masks, self._link_ends, self._link_bits,
-                      self.deg, self.sums):
+        for table in (self.pair_bits, self.patterns, self.feasible, self.masks,
+                      self._link_ends, self._link_bits, self.deg, self.sums):
             table.setflags(write=False)
         self._plans: dict[int, _Plan] = {}
 
@@ -219,53 +205,49 @@ class _Layout:
                     sums[i - 1] += ((every >> self.pos[edge(i, j)]) & 1).astype(np.uint8) * deg[j]
         return deg[1 : n + 1].copy(), sums
 
-    def coalition_moves(self, coalition: tuple[int, ...]) -> tuple:
-        """One coalition's row of its strength's ``_Plan``: (clear, outside,
-        choices, kept), ``kept`` listing each non-player pair's bit with the
-        patterns by which an outside player covers it."""
-        n, m = self.n, self.m
-        members = set(coalition)
-        free = sorted(
-            {self.pos[edge(a, b)] for a, b in itertools.combinations(coalition, 2)}
-            | {self.pos[edge(i, j)] for i in coalition for j in range(n + 1, n + m + 1)}
-        )
-        outside = sorted(
-            self.pos[edge(i, j)] for i in coalition for j in range(1, n + 1) if j not in members
-        )
-        counters = np.arange(1 << (len(free) + len(outside)), dtype=np.int64)
-        choices = np.zeros_like(counters)
-        clear = 0
-        for idx, t in enumerate(free + outside):
-            choices |= ((counters >> idx) & 1) << t
-            clear |= 1 << t
-        kept = []
-        for pair_bit, patterns in self._covers:
-            clear |= pair_bit
-            choices |= _covered(choices, [patterns[i - 1] for i in coalition]) * pair_bit
-            kept.append((pair_bit, [c for i, c in enumerate(patterns, 1) if i not in members]))
-        return clear, sum(1 << t for t in outside), choices, kept
-
     def plan(self, k: int) -> _Plan:
-        """The ``_Plan`` of the coalitions of size k, built once per strength."""
+        """The ``_Plan`` of the coalitions of size k, built once per strength.
+        Row g of ``positions`` lists coalition g's free positions, then its
+        outside ones, each ascending, so bit idx of a counter sets the edge at
+        ``positions[g, idx]``."""
         if k in self._plans:
             return self._plans[k]
-        coalitions = list(itertools.combinations(range(1, self.n + 1), k))
-        rows = [self.coalition_moves(c) for c in coalitions]
-        covers = np.zeros((len(self._covers), self.n - k, len(rows)), dtype=np.int64)
-        for g, (_, _, _, kept) in enumerate(rows):
-            for p, (_, patterns) in enumerate(kept):
-                covers[p, :, g] = patterns
+        n, m, pos = self.n, self.m, self.pos
+        coalitions = list(itertools.combinations(range(1, n + 1), k))
+        outsiders = [[j for j in range(1, n + 1) if j not in c] for c in coalitions]
+        positions = np.array(
+            [
+                sorted(
+                    {pos[edge(a, b)] for a, b in itertools.combinations(c, 2)}
+                    | {pos[edge(i, j)] for i in c for j in range(n + 1, n + m + 1)}
+                )
+                + sorted(pos[edge(i, j)] for i in c for j in outside)
+                for c, outside in zip(coalitions, outsiders)
+            ],
+            dtype=np.int64,
+        )
+        bits = np.int64(1) << positions
+        width = bits.shape[1]
+        # the moves of counters below 2^(idx + 1) are those below 2^idx, then
+        # the same with position idx set
+        choices = np.zeros((len(coalitions), 1 << width), dtype=np.int64)
+        for idx in range(width):
+            half = 1 << idx
+            np.bitwise_or(choices[:, :half], bits[:, idx, None], out=choices[:, half : 2 * half])
+        members = np.array(coalitions, dtype=np.int64)
+        for pair_bit, patterns in zip(self.pair_bits, self.patterns):
+            choices |= _covered(choices, patterns[members.T - 1, None]) * pair_bit
+        # the last k(n - k) positions are the edges to outside players
+        outside = np.bitwise_or.reduce(bits[:, width - k * (n - k) :], axis=1)
         plan = _Plan(
             coalitions,
-            np.array(coalitions, dtype=np.int64),
-            ~np.array([clear for clear, _, _, _ in rows], dtype=np.int64),
-            ~np.array([outside for _, outside, _, _ in rows], dtype=np.int64),
-            np.stack([choices for _, _, choices, _ in rows]),
-            np.array([pair_bit for pair_bit, _ in self._covers], dtype=np.int64),
-            covers,
+            members,
+            ~(np.bitwise_or.reduce(bits, axis=1) | np.bitwise_or.reduce(self.pair_bits)),
+            ~outside,
+            choices,
+            self.patterns[:, np.array(outsiders, dtype=np.int64).T - 1],
         )
-        for table in (plan.members, plan.keep, plan.allow, plan.choices, plan.pair_bits,
-                      plan.covers):
+        for table in (plan.members, plan.keep, plan.allow, plan.choices, plan.covers):
             table.setflags(write=False)
         self._plans[k] = plan
         return plan
@@ -280,10 +262,7 @@ class FeasibleGraphSet:
     ``pos``, ``links``, ``feasible``, ``masks``) are the shape's shared
     ``layout``; the space adds ``qu`` and keeps its answers.  Every array
     the space holds is read-only, since callers of
-    ``enumerate_feasible_graphs`` share one space.  At C = 18 (four players,
-    three non-players whose three pairs are original) ``qu`` takes 10.5 MB
-    and the space with its layout, plans aside, 16.0 MB, the
-    ``(11n + 17) * 2^C`` bytes its budget errors state.
+    ``enumerate_feasible_graphs`` share one space.
     """
 
     def __init__(self, game: GameSpec, num_nonplayers: int, original_edges: Iterable = ()):
@@ -388,11 +367,8 @@ class FeasibleGraphSet:
         group = slice(start, stop)
         members, choices = plan.members[group], plan.choices[group, None]
         base = masks & plan.keep[group, None]
-        for pair_bit, patterns in zip(plan.pair_bits, plan.covers):
-            held = np.zeros(base.shape, dtype=bool)
-            for pattern in patterns[:, group, None]:
-                held |= (masks & pattern) == pattern
-            base |= (masks & pair_bit) * held
+        for pair_bit, patterns in zip(self.layout.pair_bits, plan.covers):
+            base |= (masks & pair_bit) * _covered(masks, patterns[:, group, None])
         allowed = masks | plan.allow[group, None]
         found = np.empty(base.shape, dtype=np.int64)
         # a block spans ``cols`` masks of ``rows`` coalitions: all the masks
@@ -498,7 +474,7 @@ class FeasibleGraphSet:
 
 
 # eight shapes cover a caller that cycles through a few, as the oracle and
-# verify benchmarks do with four each; the module docstring gives the bytes
+# verify benchmarks do with four each; README "Oracle budget" gives the bytes
 @functools.lru_cache(maxsize=8)
 def _layout(n: int, m: int, e0: frozenset[Edge]) -> _Layout:
     return _Layout(n, m, e0)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hidenet import GameSpec, ValidationError, build_network, utility
+from hidenet import GameSpec, ValidationError, analytics, build_network, utility
 from hidenet.analytics import (
     additive_bound,
     check_equal_alpha,
@@ -22,7 +22,8 @@ from hidenet.analytics import (
 )
 from hidenet.errors import PreconditionError
 from hidenet.lattice import greatest_pans, least_pans
-from hidenet.oracle import max_social_welfare
+from hidenet.oracle import enumerate_feasible_graphs, max_social_welfare
+from hidenet.stability import is_k_nash, is_pane
 
 from conftest import complete_edges
 
@@ -331,6 +332,42 @@ def test_monotonicity_requires_stable_top(fig2_game):
     empty = build_network(4, 0, [])
     with pytest.raises(PreconditionError):
         monotonicity_check(single, empty, fig2_game)
+
+
+def test_monotonicity_on_a_pans_past_the_search_budget():
+    # the coalition search needs ~1.07e10 moves on this greatest PANS, yet it
+    # is pairwise stable and so Nash stable
+    rng = random.Random(3)
+    n, m = 20, 10
+    den = rng.choice([1, 2, 3, 4])
+    game = GameSpec([F(rng.randint(0, 32 * den), den) for _ in range(n)])
+    e0 = [(a, b) for a in range(n + 1, n + m + 1) for b in range(a + 1, n + m + 1)
+          if rng.random() < 0.3]
+    least, greatest = least_pans(game, m, e0), greatest_pans(game, m, e0)
+    assert (len(least.edges), len(greatest.edges)) == (253, 325)
+    rep = monotonicity_check(greatest, least, game)
+    assert rep.consistent and rep.all_nonnegative
+
+
+def test_monotonicity_on_a_nash_stable_top_with_a_blocking_pair(monkeypatch):
+    # 1-3 and 2-3 at alphas (0, 0): no player gains alone, but the players'
+    # link gains both 2, so is_pane rejects the graph and the search decides
+    game = GameSpec((F(0), F(0)))
+    f = build_network(2, 1, [(1, 3), (2, 3)])
+    g = build_network(2, 1, [])
+    space = enumerate_feasible_graphs(game, 1)
+    assert space.nash_flags(1)[space.mask_of(f.edges)]
+    assert is_pane(f, game).condition == "missing-player-pair"
+    searched = []
+
+    def counting(net, game, k):
+        searched.append(net)
+        return is_k_nash(net, game, k)
+
+    monkeypatch.setattr(analytics, "is_k_nash", counting)
+    rep = monotonicity_check(f, g, game)
+    assert searched == [f]
+    assert rep.deltas == (2, 2) and not rep.conditions_hold and rep.consistent
 
 
 def test_strength_equivalences(fig2_game, fig3_game, example5_game):

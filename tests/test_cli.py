@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_instance, replay
+from conftest import limit_address_space, random_instance, replay
 from hidenet import DeviationMove, GameSpec, build_network, greatest_pans, is_k_strong, utility
 from hidenet.cli import main, run_command
 from hidenet.gamefile import serialize_game, serialize_graph
@@ -402,6 +402,20 @@ def test_detect_without_nodes_exits_2(monkeypatch, capsys, tmp_path, text):
     plain.write_text(text)
     err = _exits_2_without_traceback(monkeypatch, capsys, ["detect", "--graph", str(plain)])
     assert "at least one node" in err
+
+
+def test_detect_past_the_memory_limit_exits_3(tmp_path):
+    # about 270 bytes a node: a million nodes peak near 275 MB, past the
+    # 200 MiB the child may address, in the detector or in rendering
+    plain = tmp_path / "million.graph"
+    plain.write_text("[nodes]\n1000000\n[edges]\n1 2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hidenet.cli", "detect", "--graph", str(plain)],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space(200 << 20),
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "error: detect on these inputs does not fit in memory\n"
 
 
 def test_out_to_a_directory_exits_2(monkeypatch, capsys, tmp_path):

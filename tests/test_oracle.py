@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import random
@@ -329,9 +330,9 @@ def test_shared_arrays_are_read_only(fig2_game):
     shared += [fgs.nash_flags(k) for k in range(1, fgs.n + 1)]
     layout = fgs.layout
     shared += [layout.feasible, layout.masks, layout._link_ends, layout._link_bits]
-    shared += [layout.deg, layout.sums]
+    shared += [layout.pair_bits, layout.patterns, layout.deg, layout.sums]
     for plan in layout._plans.values():
-        shared += [plan.members, plan.keep, plan.allow, plan.choices, plan.pair_bits, plan.covers]
+        shared += [plan.members, plan.keep, plan.allow, plan.choices, plan.covers]
     assert sorted(layout._plans) == [1, 2, 3, 4]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -595,11 +596,47 @@ def _parity_instances():
     return list(out.values())
 
 
+def _coalition_reference(space, coalition):
+    """One coalition's moves, built edge by edge from ``space.cand`` and
+    ``space.pos`` alone: (clear, outside, choices, kept).  ``clear`` has the
+    bit of every member-incident edge and every non-player pair, ``outside``
+    those of the edges to outside players.  Counter c sets the free edges
+    (member pairs, member-to-non-player edges), then the outside ones, each
+    ascending, by its bits; members then cover non-player pairs.  ``kept``
+    lists each non-player pair's bit with the two-edge patterns by which
+    each outside player, ascending, covers it."""
+    n, pos = space.n, space.pos
+    members = set(coalition)
+    free = [pos[(a, b)] for a, b in space.cand if a in members and (b in members or b > n)]
+    outside = [pos[(a, b)] for a, b in space.cand if b <= n and (a in members) != (b in members)]
+    pairs = [(j, l) for j, l in space.cand if j > n]
+    counters = np.arange(2 ** (len(free) + len(outside)), dtype=np.int64)
+    choices = np.zeros_like(counters)
+    for idx, t in enumerate(sorted(free) + sorted(outside)):
+        choices += ((counters >> idx) & 1) * 2**t
+
+    def holds(moves, a, b):
+        return (moves >> pos[(a, b)]) & 1 == 1
+
+    for j, l in pairs:
+        covered = np.zeros(len(choices), dtype=bool)
+        for i in coalition:
+            covered |= holds(choices, i, j) & holds(choices, i, l)
+        choices[covered] |= 2 ** pos[(j, l)]
+    clear = sum(2**t for t in free + outside) + sum(2 ** pos[p] for p in pairs)
+    outsiders = [i for i in range(1, n + 1) if i not in members]
+    kept = [
+        (2 ** pos[(j, l)], [2 ** pos[(i, j)] + 2 ** pos[(i, l)] for i in outsiders])
+        for j, l in pairs
+    ]
+    return clear, sum(2**t for t in outside), choices, kept
+
+
 def _first_moves_per_coalition(space, masks, coalition):
     """One coalition's first improving move at each mask, or -1: the
     coalition-by-coalition scoring the stacked kernel replaced, 64 masks at
-    a time."""
-    clear, outside, choices, kept = space.layout.coalition_moves(coalition)
+    a time, on the moves of ``_coalition_reference``."""
+    clear, outside, choices, kept = _coalition_reference(space, coalition)
     players = np.array(coalition)[:, None, None]
     found = []
     for lo in range(0, len(masks), 64):
@@ -616,6 +653,30 @@ def _first_moves_per_coalition(space, masks, coalition):
         first = moves[np.arange(len(rows)), hit.argmax(axis=1)]
         found += np.where(hit.any(axis=1), first, -1).tolist()
     return found
+
+
+@pytest.mark.parametrize("shape", ["parity", "C18"])
+def test_every_plan_equals_the_per_coalition_reference(shape):
+    if shape == "parity":
+        layouts = [enumerate_feasible_graphs(g, m, e0).layout for g, m, e0 in _parity_instances()]
+    else:
+        # four players, three non-players whose three pairs are original
+        layouts = [oracle._Layout(4, 3, frozenset({(5, 6), (5, 7), (6, 7)}))]
+        assert len(layouts[0].cand) == 18
+    for layout in layouts:
+        for k in range(1, layout.n + 1):
+            plan = layout.plan(k)
+            assert plan.coalitions == list(itertools.combinations(range(1, layout.n + 1), k))
+            assert plan.members.tolist() == [list(c) for c in plan.coalitions]
+            rows = [_coalition_reference(layout, c) for c in plan.coalitions]
+            assert plan.keep.tolist() == [~clear for clear, _, _, _ in rows]
+            assert plan.allow.tolist() == [~outside for _, outside, _, _ in rows]
+            assert plan.choices.tolist() == [choices.tolist() for _, _, choices, _ in rows]
+            kept = rows[0][3]
+            assert layout.pair_bits.tolist() == [pair_bit for pair_bit, _ in kept]
+            assert plan.covers.shape == (len(kept), layout.n - k, len(rows))
+            for g, row in enumerate(rows):
+                assert plan.covers[:, :, g].tolist() == [patterns for _, patterns in row[3]]
 
 
 def test_the_stacked_kernel_matches_a_per_coalition_reference(monkeypatch):
